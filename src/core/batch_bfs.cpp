@@ -6,42 +6,28 @@
 
 #include "core/bfs.hpp"
 #include "core/frontier.hpp"
+#include "core/lane_bfs_round.hpp"
 #include "core/packing.hpp"
-#include "core/previsit.hpp"
-#include "core/visit.hpp"
 #include "engine/iterative_engine.hpp"
-#include "sim/stream.hpp"
 
 namespace dsbfs::core {
 
 namespace {
 
-/// The paper's BFS pipeline (Fig. 3), lane-generalized: identical engine
-/// phase structure to BfsAlgorithm -- previsit forms the queues, visit
-/// enqueues the four kernels on the two streams, the exchange rides the
-/// normal stream through the control allreduce, the post-control mask
-/// reduction overlaps it -- with lane words in place of single bits
-/// everywhere a visited test or a wire record appears.
-class BatchBfsAlgorithm {
+/// Batched BFS as engine phases: the shared LaneBfsRound, seeded with the
+/// whole batch at init, plus the per-lane parent completion.
+class BatchBfsAlgorithm : public LaneBfsRound {
  public:
   static constexpr const char* kStateLabel = "batch_bfs.state";
 
-  struct State {
-    State(const graph::LocalGraph& lg, int total_gpus, int lane_bits)
-        : gpu(lg, total_gpus, lane_bits) {}
-
-    LaneState gpu;
-    sim::Event bins_ready;
-    std::uint64_t bins_total = 0;
-  };
+  using State = LaneRoundState;
 
   BatchBfsAlgorithm(const graph::DistributedGraph& graph,
                     const BatchBfsOptions& options,
                     std::span<const VertexId> sources, int lane_bits)
-      : graph_(graph),
+      : LaneBfsRound(graph, options, lane_bits),
         options_(options),
-        sources_(sources),
-        lane_bits_(lane_bits) {}
+        sources_(sources) {}
 
   std::unique_ptr<State> init(engine::GpuContext& ctx) {
     const sim::ClusterSpec& spec = graph_.spec();
@@ -94,20 +80,6 @@ class BatchBfsAlgorithm {
     return state;
   }
 
-  std::uint64_t state_bytes(const engine::GpuContext& ctx,
-                            const State& s) const {
-    // Per-lane depth arrays plus the three lane masks on each side.
-    const std::uint64_t w = static_cast<std::uint64_t>(lane_bits_);
-    return graph_.local(ctx.gpu).num_local_normals() * w * sizeof(Depth) +
-           static_cast<std::uint64_t>(graph_.num_delegates()) * w *
-               sizeof(Depth) +
-           3 * s.gpu.delegate_visited.byte_size() +
-           3 * s.gpu.seen_normal.byte_size();
-  }
-
-  /// Epoch checkpoint: bins_ready / bins_total are per-iteration scratch
-  /// that `visit` rewrites before anything reads them, so the boundary
-  /// snapshot is the lane traversal state alone.
   using Snapshot = LaneSnapshot;
   Snapshot snapshot(engine::GpuContext&, const State& s) const {
     return s.gpu.save();
@@ -116,116 +88,10 @@ class BatchBfsAlgorithm {
     s.gpu.restore(snap);
   }
 
-  void previsit(engine::GpuContext&, State& s, int) {
-    s.gpu.begin_iteration();
-    delegate_previsit_lanes(s.gpu);
-    normal_previsit_lanes(s.gpu);
-  }
-
-  void visit(engine::GpuContext& ctx, State& s, int) {
-    LaneState& gs = s.gpu;
-
-    // Delegate stream: dd then dn lane visits.
-    ctx.delegate_stream.enqueue([&gs] { visit_dd_lanes(gs); });
-    ctx.delegate_stream.enqueue([&gs] { visit_dn_lanes(gs); });
-
-    // Normal stream: nd, nn, then bin accounting (the engine enqueues the
-    // exchange hook behind these).
-    const sim::ClusterSpec& spec = ctx.comm.spec();
-    ctx.normal_stream.enqueue([&gs] { visit_nd_lanes(gs); });
-    ctx.normal_stream.enqueue([&gs, &spec] { visit_nn_lanes(gs, spec); });
-    s.bins_ready = ctx.normal_stream.record([&s] {
-      s.bins_total = 0;
-      for (const auto& bin : s.gpu.bins) s.bins_total += bin.size();
-    });
-  }
-
-  void reduce(engine::GpuContext&, State&, int) {}  // post-control only
-
-  void exchange(engine::GpuContext& ctx, State& s, int iteration) {
-    // Runs on the normal stream behind the visits; overlaps the
-    // post-control mask reduction.  The lane word is the update value: OR
-    // coalescing merges candidates for one destination, and the wire width
-    // is the lane width (0 extra bytes at W = 1, where the single lane is
-    // implicit and the record matches the id exchange's 4-byte id).
-    LaneState& gs = s.gpu;
-    gs.received = ctx.comm.exchange_value_updates(
-        ctx.me, gs.bins, iteration,
-        {.combine = options_.uniquify ? comm::UpdateCombine::kOr
-                                      : comm::UpdateCombine::kNone,
-         .compress = options_.compress,
-         .value_bytes = lane_bits_ == 1 ? 0 : lane_bits_ / 8,
-         .adaptive = options_.adaptive_compress,
-         .topology = options_.exchange_topology,
-         .retry = options_.resilience.retry},
-        gs.iter);
-  }
-
-  std::uint64_t contribution(engine::GpuContext& ctx, State& s, int) {
-    // Join the delegate stream and the bin accounting; the exchange keeps
-    // running on the normal stream through the control allreduce.
-    ctx.delegate_stream.synchronize();
-    s.bins_ready.wait();
-    const bool delegate_updates = !s.gpu.delegate_out.none();
-    return (delegate_updates ? kDelegateFlagUnit : 0) +
-           static_cast<std::uint64_t>(s.gpu.next_local.size()) + s.bins_total;
-  }
-
-  void post_reduce(engine::GpuContext& ctx, State& s, int iteration,
-                   std::uint64_t control) {
-    LaneState& gs = s.gpu;
-    // Delegate lane-mask reduction (overlaps the normal exchange): the
-    // two-phase OR reduce is word-wise, so the lane masks ride it
-    // unchanged -- only the payload scales (d*W/8 bytes).
-    if (control >= kDelegateFlagUnit) {
-      gs.iter.delegate_update = true;
-      util::LaneBitset reduced = gs.delegate_visited;
-      reduced.or_with(gs.delegate_out);
-      ctx.comm.mask_reducer().reduce(ctx.me, reduced, iteration,
-                                     options_.reduce_mode);
-      util::LaneBitset::diff_into(reduced, gs.delegate_visited,
-                                  gs.delegate_new);
-
-      // Assign depths and maintain the all-lane unvisited pools before the
-      // old visited mask is overwritten: a delegate leaves a pool when its
-      // first lane anywhere becomes visited (== the single-source pool
-      // decrement at W = 1).
-      const graph::LocalGraph& lg = gs.graph();
-      const Depth next_depth = gs.depth + 1;
-      gs.delegate_new.for_each_nonzero_lanes(
-          [&](std::size_t t, std::uint64_t w) {
-            if (gs.delegate_visited.lanes(t) == 0) {
-              if (lg.dd_source_mask().test(t)) --gs.unvisited_dd_sources;
-              if (lg.dn_source_mask().test(t)) --gs.unvisited_dn_sources;
-            }
-            for (std::uint64_t b = w; b != 0; b &= b - 1) {
-              gs.depth_delegate[gs.slot(t, std::countr_zero(b))] = next_depth;
-            }
-          });
-      gs.delegate_visited = reduced;
-    } else {
-      gs.delegate_new.clear_all();
-    }
-  }
-
   bool end_iteration(engine::GpuContext& ctx, State& s, int,
                      std::uint64_t control) {
-    ctx.normal_stream.synchronize();  // exchange complete; received filled
-    s.gpu.end_iteration();
-    if (s.gpu.direction_optimized && s.gpu.adaptive_direction) {
-      // Fold this iteration's realized kernel rates into the controller
-      // before the next previsit re-derives the factors from them.
-      s.gpu.controller.observe(s.gpu.iter);
-    }
-    s.gpu.depth += 1;
-    const bool any_delegate_update = control >= kDelegateFlagUnit;
-    const std::uint64_t normal_work = control % kDelegateFlagUnit;
-    return !any_delegate_update && normal_work == 0;
-  }
-
-  bool collect_counters() const { return true; }
-  sim::GpuIterationCounters iteration_counters(const State& s) const {
-    return s.gpu.iter;
+    finish_round(ctx, s);
+    return control == 0;  // no delegate flag and no normal work anywhere
   }
 
   /// Per-lane BFS-tree completion, the lane generalization of Section
@@ -315,10 +181,8 @@ class BatchBfsAlgorithm {
   }
 
  private:
-  const graph::DistributedGraph& graph_;
   const BatchBfsOptions& options_;
   std::span<const VertexId> sources_;
-  int lane_bits_;
 };
 
 }  // namespace
@@ -328,6 +192,9 @@ DistributedBatchBfs::DistributedBatchBfs(const graph::DistributedGraph& graph,
                                          BatchBfsOptions options)
     : graph_(graph), cluster_(cluster), options_(options) {
   engine::check_specs_match(graph, cluster);
+  if (options_.adaptive_compress && !options_.compress) {
+    throw std::invalid_argument("batch bfs adaptive_compress needs compress");
+  }
 }
 
 VertexId DistributedBatchBfs::sample_source(std::uint64_t k) const {

@@ -36,9 +36,12 @@
 /// estimate scales the remaining-unvisited pull mass by the live-lane
 /// population (core::lane_backward_workload) -- a pull candidate early-exits
 /// per lane, so the expected scan grows only harmonically in the number of
-/// live lanes.  At W = 1 either mode is the corresponding DistributedBfs
-/// bit for bit: same iteration count, same per-round direction decisions,
-/// same control words, same wire bytes (tests assert this).
+/// live lanes.  At W = 1 forced push is the forced-push DistributedBfs in
+/// the full modeled breakdown (tests assert this).  Hybrid at W = 1 matches
+/// DistributedBfs in iterations, per-round direction decisions, edges and
+/// wire bytes, but its FV/BV estimation is fused into the queue scans, so
+/// it charges no separate decision launches and less modeled computation
+/// (7.02 vs 7.85 ms over 8 RMAT-18 roots).
 namespace dsbfs::core {
 
 struct BatchBfsOptions {
@@ -107,7 +110,8 @@ struct BatchBfsResult {
 class DistributedBatchBfs {
  public:
   /// `graph` and `cluster` must outlive the DistributedBatchBfs and share
-  /// spec.
+  /// spec.  Throws std::invalid_argument on adaptive_compress without
+  /// compress.
   DistributedBatchBfs(const graph::DistributedGraph& graph,
                       sim::Cluster& cluster, BatchBfsOptions options = {});
 

@@ -17,11 +17,14 @@ namespace dsbfs::core {
 
 namespace {
 
-/// Batched delta-stepping as engine phases (see batch_sssp.hpp).  The round
-/// state machine is DeltaSsspAlgorithm's, verbatim -- the only changes are
-/// that queue entries are (vertex, lane) slots, distances live in
-/// util::LaneValueSlab words, and the relax kernels sweep each active
-/// vertex's edges once for all of its active lanes.
+/// Batched delta-stepping as engine phases (see batch_sssp.hpp and the
+/// round structure in delta_sssp.hpp).  Queue entries are (vertex, lane)
+/// slots, distances live in util::LaneValueSlab words, and the relax
+/// kernels sweep each active vertex's edges once for all of its active
+/// lanes.  The previsit's agreement collective decides what the round is
+/// (open the next bucket / another light sub-round / the heavy round);
+/// every mode transition is a pure function of globally-agreed values, so
+/// all GPUs move through identical (bucket, phase) sequences in lockstep.
 class BatchSsspAlgorithm {
  public:
   static constexpr const char* kStateLabel = "batch_sssp.state";
@@ -209,11 +212,6 @@ class BatchSsspAlgorithm {
                   s.normal_buckets.bucket_base(s.current_bucket),
                   options_.value_bits)
             : 0;
-    const auto& active_d =
-        s.heavy_round ? s.settled_delegates : s.fresh_delegates;
-    const auto& active_n = s.heavy_round ? s.settled_normals : s.fresh_normals;
-    s.iter.dprev_vertices = open ? unique_vertices(active_d) : 0;
-    s.iter.nprev_vertices = open ? unique_vertices(active_n) : 0;
   }
 
   void visit(engine::GpuContext& ctx, State& s, int) {
@@ -265,6 +263,8 @@ class BatchSsspAlgorithm {
     std::vector<LocalId> verts_d = group_by_vertex(
         active_delegates, s.group_mask_delegate, s.group_stamp_delegate,
         s.group_round);
+    s.iter.nprev_vertices = verts_n.size();
+    s.iter.dprev_vertices = verts_d.size();
 
     const std::uint64_t mask = s.dist_normal.value_mask();
     const int vb = s.dist_normal.value_bits();
@@ -537,17 +537,6 @@ class BatchSsspAlgorithm {
       mask[v] |= 1ULL << lane;
     }
     return verts;
-  }
-
-  std::uint64_t unique_vertices(const std::vector<LocalId>& slots) const {
-    std::vector<LocalId> verts;
-    verts.reserve(slots.size());
-    for (const LocalId sl : slots) {
-      verts.push_back(sl / static_cast<LocalId>(lanes_));
-    }
-    std::sort(verts.begin(), verts.end());
-    return static_cast<std::uint64_t>(
-        std::unique(verts.begin(), verts.end()) - verts.begin());
   }
 
   void load_lane_dist(const util::LaneValueSlab& slab, LocalId v,

@@ -46,9 +46,9 @@
 /// bucket sequence is monotone and every lane's own buckets appear in it,
 /// each lane settles exactly as it would under its private schedule, and
 /// converged per-lane distances are bit-identical to
-/// baseline::serial_delta_sssp per source.  At W = 1 with value_bits = 64
-/// the records, reductions and counters reproduce
-/// core::DistributedDeltaSssp exactly.
+/// baseline::serial_delta_sssp per source.  core::DistributedDeltaSssp is
+/// this run at W = 1 with value_bits = 64: one lane's schedule is the
+/// union, and 64-bit lane words are plain distances on the wire.
 namespace dsbfs::core {
 
 struct BatchSsspOptions {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <unordered_set>
 
 #include "core/metrics.hpp"
@@ -206,6 +207,9 @@ ConnectedComponents::ConnectedComponents(const graph::DistributedGraph& graph,
                                          CcOptions options)
     : graph_(graph), cluster_(cluster), options_(options) {
   engine::check_specs_match(graph, cluster);
+  if (options_.adaptive_compress && !options_.compress) {
+    throw std::invalid_argument("cc adaptive_compress needs compress");
+  }
 }
 
 CcResult ConnectedComponents::run() {

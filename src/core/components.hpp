@@ -67,6 +67,7 @@ struct CcResult {
 
 class ConnectedComponents {
  public:
+  /// Throws std::invalid_argument on adaptive_compress without compress.
   ConnectedComponents(const graph::DistributedGraph& graph,
                       sim::Cluster& cluster, CcOptions options = {});
 

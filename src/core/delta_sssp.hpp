@@ -49,6 +49,10 @@
 /// `weighted()`, the hashed endpoint-pair fallback otherwise.  Relaxation
 /// is always forward push -- bucketed frontiers are deliberately small, so
 /// the dense-round regime that justifies SSSP's backward pull never forms.
+///
+/// The rounds run on core::DistributedBatchSssp with one 64-bit lane: the
+/// single lane's bucket schedule is the batch's union schedule, and a
+/// 64-bit lane word is a plain distance on the wire.
 namespace dsbfs::core {
 
 struct DeltaSsspOptions {

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 
 #include "core/metrics.hpp"
 #include "engine/iterative_engine.hpp"
@@ -252,6 +253,10 @@ DistributedPagerank::DistributedPagerank(const graph::DistributedGraph& graph,
                                          PagerankOptions options)
     : graph_(graph), cluster_(cluster), options_(options) {
   engine::check_specs_match(graph, cluster);
+  if ((options_.adaptive_compress || options_.gorilla) && !options_.compress) {
+    throw std::invalid_argument(
+        "pagerank adaptive_compress and gorilla need compress");
+  }
 }
 
 PagerankResult DistributedPagerank::run() {

@@ -83,6 +83,8 @@ struct PagerankResult {
 
 class DistributedPagerank {
  public:
+  /// Throws std::invalid_argument on adaptive_compress or gorilla without
+  /// compress.
   DistributedPagerank(const graph::DistributedGraph& graph,
                       sim::Cluster& cluster, PagerankOptions options = {});
 

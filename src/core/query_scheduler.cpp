@@ -10,10 +10,8 @@
 
 #include "core/bfs.hpp"
 #include "core/frontier.hpp"
-#include "core/previsit.hpp"
-#include "core/visit.hpp"
+#include "core/lane_bfs_round.hpp"
 #include "engine/iterative_engine.hpp"
-#include "sim/stream.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -124,23 +122,19 @@ struct SchedulerCore {
   std::vector<std::vector<std::pair<VertexId, Depth>>> fragments;
 };
 
-/// The serving scheduler as an engine algorithm: BatchBfsAlgorithm's phase
-/// structure (forced push) plus, at every end_iteration, the one-word
+/// The serving scheduler as an engine algorithm: the batch BFS's
+/// LaneBfsRound (forced push) plus, at every end_iteration, the one-word
 /// lane-drain agreement followed by replicated retire/harvest/admit/reseed
 /// transitions.  Lanes at different depths share each sweep; a lane's
 /// stored depths are raw engine iterations, normalized by the occupying
 /// query's admit iteration at harvest.
-class ServingAlgorithm {
+class ServingAlgorithm : public LaneBfsRound {
  public:
   static constexpr const char* kStateLabel = "query_scheduler.state";
 
-  struct State {
-    State(const graph::LocalGraph& lg, int total_gpus, int lane_bits)
-        : gpu(lg, total_gpus, lane_bits) {}
+  struct State : LaneRoundState {
+    using LaneRoundState::LaneRoundState;
 
-    LaneState gpu;
-    sim::Event bins_ready;
-    std::uint64_t bins_total = 0;
     SchedulerCore sched;
     /// Rows this GPU appended to the engine history.  Deliberately NOT part
     /// of the snapshot: history rows append across rollbacks, so replayed
@@ -151,7 +145,9 @@ class ServingAlgorithm {
   ServingAlgorithm(const graph::DistributedGraph& graph,
                    const SchedulerOptions& options,
                    std::span<const QueryArrival> trace, int lane_bits)
-      : graph_(graph), options_(options), trace_(trace), lane_bits_(lane_bits),
+      : LaneBfsRound(graph, options, lane_bits),
+        options_(options),
+        trace_(trace),
         lane_budget_mask_(options.width >= 64
                               ? ~0ULL
                               : (1ULL << options.width) - 1) {}
@@ -177,16 +173,6 @@ class ServingAlgorithm {
     return state;
   }
 
-  std::uint64_t state_bytes(const engine::GpuContext& ctx,
-                            const State& s) const {
-    const std::uint64_t w = static_cast<std::uint64_t>(lane_bits_);
-    return graph_.local(ctx.gpu).num_local_normals() * w * sizeof(Depth) +
-           static_cast<std::uint64_t>(graph_.num_delegates()) * w *
-               sizeof(Depth) +
-           3 * s.gpu.delegate_visited.byte_size() +
-           3 * s.gpu.seen_normal.byte_size();
-  }
-
   /// Epoch checkpoint: the lane traversal state plus the replicated
   /// scheduler core (lane ownership, trace cursors, harvested fragments,
   /// the pending reseed charge) -- everything a replayed boundary must
@@ -203,83 +189,18 @@ class ServingAlgorithm {
     s.sched = snap.sched;
   }
 
-  void previsit(engine::GpuContext&, State& s, int) {
-    s.gpu.begin_iteration();
+  void previsit(engine::GpuContext& ctx, State& s, int iteration) {
+    LaneBfsRound::previsit(ctx, s, iteration);
     // Reseeds decided at the previous boundary gate this iteration's
     // kernels; the charge lands on this row.
     s.gpu.iter.reseed_bytes = s.sched.pending_reseed_bytes;
     s.sched.pending_reseed_bytes = 0;
-    delegate_previsit_lanes(s.gpu);
-    normal_previsit_lanes(s.gpu);
-  }
-
-  void visit(engine::GpuContext& ctx, State& s, int) {
-    LaneState& gs = s.gpu;
-    ctx.delegate_stream.enqueue([&gs] { visit_dd_lanes(gs); });
-    ctx.delegate_stream.enqueue([&gs] { visit_dn_lanes(gs); });
-    const sim::ClusterSpec& spec = ctx.comm.spec();
-    ctx.normal_stream.enqueue([&gs] { visit_nd_lanes(gs); });
-    ctx.normal_stream.enqueue([&gs, &spec] { visit_nn_lanes(gs, spec); });
-    s.bins_ready = ctx.normal_stream.record([&s] {
-      s.bins_total = 0;
-      for (const auto& bin : s.gpu.bins) s.bins_total += bin.size();
-    });
-  }
-
-  void reduce(engine::GpuContext&, State&, int) {}  // post-control only
-
-  void exchange(engine::GpuContext& ctx, State& s, int iteration) {
-    LaneState& gs = s.gpu;
-    gs.received = ctx.comm.exchange_value_updates(
-        ctx.me, gs.bins, iteration,
-        {.combine = options_.uniquify ? comm::UpdateCombine::kOr
-                                      : comm::UpdateCombine::kNone,
-         .compress = options_.compress,
-         .value_bytes = lane_bits_ == 1 ? 0 : lane_bits_ / 8,
-         .adaptive = options_.adaptive_compress,
-         .topology = options_.exchange_topology,
-         .retry = options_.resilience.retry},
-        gs.iter);
-  }
-
-  std::uint64_t contribution(engine::GpuContext& ctx, State& s, int) {
-    ctx.delegate_stream.synchronize();
-    s.bins_ready.wait();
-    const bool delegate_updates = !s.gpu.delegate_out.none();
-    return (delegate_updates ? kDelegateFlagUnit : 0) +
-           static_cast<std::uint64_t>(s.gpu.next_local.size()) + s.bins_total;
-  }
-
-  void post_reduce(engine::GpuContext& ctx, State& s, int iteration,
-                   std::uint64_t control) {
-    LaneState& gs = s.gpu;
-    if (control >= kDelegateFlagUnit) {
-      gs.iter.delegate_update = true;
-      util::LaneBitset reduced = gs.delegate_visited;
-      reduced.or_with(gs.delegate_out);
-      ctx.comm.mask_reducer().reduce(ctx.me, reduced, iteration,
-                                     options_.reduce_mode);
-      util::LaneBitset::diff_into(reduced, gs.delegate_visited,
-                                  gs.delegate_new);
-      const Depth next_depth = gs.depth + 1;
-      gs.delegate_new.for_each_nonzero_lanes(
-          [&](std::size_t t, std::uint64_t w) {
-            for (std::uint64_t b = w; b != 0; b &= b - 1) {
-              gs.depth_delegate[gs.slot(t, std::countr_zero(b))] = next_depth;
-            }
-          });
-      gs.delegate_visited = reduced;
-    } else {
-      gs.delegate_new.clear_all();
-    }
   }
 
   bool end_iteration(engine::GpuContext& ctx, State& s, int iteration,
                      std::uint64_t) {
-    ctx.normal_stream.synchronize();  // exchange complete; received filled
+    finish_round(ctx, s);
     LaneState& gs = s.gpu;
-    gs.end_iteration();
-    gs.depth += 1;
 
     // ---- Per-lane drain agreement.  Under forced push the boundary's
     // pending work is exactly: fresh dn-claimed lanes (next_normal carries
@@ -317,13 +238,6 @@ class ServingAlgorithm {
     ++s.executed_rows;
     return done;
   }
-
-  bool collect_counters() const { return true; }
-  sim::GpuIterationCounters iteration_counters(const State& s) const {
-    return s.gpu.iter;
-  }
-
-  void finalize(engine::GpuContext&, State&, int) {}
 
  private:
   /// Harvest the retiring lane's distances into the query's fragment list
@@ -449,10 +363,8 @@ class ServingAlgorithm {
                         static_cast<std::uint64_t>(boundary + 1), lane, qi});
   }
 
-  const graph::DistributedGraph& graph_;
   const SchedulerOptions& options_;
   std::span<const QueryArrival> trace_;
-  int lane_bits_;
   std::uint64_t lane_budget_mask_;
 };
 
@@ -465,6 +377,9 @@ QueryScheduler::QueryScheduler(const graph::DistributedGraph& graph,
   engine::check_specs_match(graph, cluster);
   if (options_.width < 1 || options_.width > 64) {
     throw std::invalid_argument("scheduler width must be 1..64");
+  }
+  if (options_.adaptive_compress && !options_.compress) {
+    throw std::invalid_argument("scheduler adaptive_compress needs compress");
   }
 }
 

@@ -193,6 +193,8 @@ struct SchedulerOutcome {
 class QueryScheduler {
  public:
   /// `graph` and `cluster` must outlive the scheduler and share spec.
+  /// Throws std::invalid_argument on width outside 1..64 or
+  /// adaptive_compress without compress.
   QueryScheduler(const graph::DistributedGraph& graph, sim::Cluster& cluster,
                  SchedulerOptions options = {});
 

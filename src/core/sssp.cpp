@@ -426,6 +426,9 @@ DistributedSssp::DistributedSssp(const graph::DistributedGraph& graph,
   if (options_.max_weight == 0) {
     throw std::invalid_argument("sssp max_weight must be at least 1");
   }
+  if (options_.adaptive_compress && !options_.compress) {
+    throw std::invalid_argument("sssp adaptive_compress needs compress");
+  }
 }
 
 SsspResult DistributedSssp::run(VertexId source) {

@@ -136,6 +136,8 @@ struct SsspResult {
 class DistributedSssp {
  public:
   /// `graph` and `cluster` must outlive the DistributedSssp and share spec.
+  /// Throws std::invalid_argument on max_weight == 0 or adaptive_compress
+  /// without compress.
   DistributedSssp(const graph::DistributedGraph& graph, sim::Cluster& cluster,
                   SsspOptions options = {});
 

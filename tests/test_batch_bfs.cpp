@@ -258,6 +258,9 @@ TEST(BatchBfs, RejectsBadBatches) {
   EXPECT_THROW(bfs.run(std::vector<VertexId>{}), std::invalid_argument);
   EXPECT_THROW(bfs.run(std::vector<VertexId>(65, 0)), std::invalid_argument);
   EXPECT_THROW(bfs.run(std::vector<VertexId>{999}), std::out_of_range);
+  EXPECT_THROW(
+      DistributedBatchBfs(dg, cluster, {.adaptive_compress = true}),
+      std::invalid_argument);
 }
 
 // ---- mid-flight lane-reseed edge cases (the serving scheduler re-admits
@@ -272,6 +275,42 @@ void expect_all_queries_serial_exact(const graph::EdgeList& g,
         q.distances, baseline::serial_bfs(csr, q.source));
     ASSERT_TRUE(ref.ok) << "query " << i << " (source " << q.source
                         << "): " << ref.error;
+  }
+}
+
+TEST(BatchBfs, SchedulerTickZeroTraceRunsTheBatchRound) {
+  // The serving scheduler and the batch run share one lane-BFS round.  A
+  // trace whose queries all arrive at tick 0 with recycling off is one
+  // batch: same answers, same traversal and wire volume.  The scheduler's
+  // per-lane drain agreement retires every lane at the boundary where the
+  // last frontier empties, so it skips the batch's final empty round.
+  const graph::EdgeList g = graph::rmat_graph500({.scale = 11, .seed = 88});
+  sim::ClusterSpec spec;
+  spec.num_ranks = 2;
+  spec.gpus_per_rank = 2;
+  sim::Cluster cluster(spec);
+  const graph::DistributedGraph dg = build_distributed(g, spec, 16);
+  DistributedBatchBfs batch(dg, cluster, {});
+  QueryScheduler scheduler(dg, cluster, {.width = 64, .recycle = false});
+  for (const std::size_t queries : {std::size_t{40}, std::size_t{64}}) {
+    const std::vector<VertexId> sources = pick_sources(batch, queries);
+    std::vector<QueryArrival> trace;
+    for (const VertexId s : sources) trace.push_back({s, 0});
+
+    const BatchBfsResult br = batch.run(sources);
+    const SchedulerOutcome out = scheduler.run(trace);
+    ASSERT_EQ(out.queries.size(), queries);
+    for (std::size_t i = 0; i < queries; ++i) {
+      EXPECT_EQ(out.queries[i].distances, br.distances[i]) << "query " << i;
+    }
+    const RunMetrics& bm = br.metrics;
+    const RunMetrics& sm = out.metrics.run;
+    EXPECT_EQ(sm.lane_bits, bm.lane_bits);
+    EXPECT_EQ(sm.iterations + 1, bm.iterations);
+    EXPECT_EQ(sm.edges_traversed, bm.edges_traversed);
+    EXPECT_EQ(sm.exchange_remote_bytes, bm.exchange_remote_bytes);
+    EXPECT_EQ(sm.exchange_local_bytes, bm.exchange_local_bytes);
+    EXPECT_EQ(sm.mask_reduce_bytes, bm.mask_reduce_bytes);
   }
 }
 

@@ -149,5 +149,16 @@ TEST(Components, WebGraphMatchesHost) {
   expect_matches_host(graph::webgraph_like(p), spec_of(2, 2), 16);
 }
 
+TEST(Components, RejectsBadArguments) {
+  const graph::EdgeList g = graph::path_graph(8);
+  const auto spec = spec_of(2, 1);
+  sim::Cluster cluster(spec);
+  const graph::DistributedGraph dg = graph::build_distributed(g, spec, 4);
+  EXPECT_THROW(ConnectedComponents(dg, cluster, {.adaptive_compress = true}),
+               std::invalid_argument);
+  sim::Cluster wrong(spec_of(4, 1));
+  EXPECT_THROW(ConnectedComponents(dg, wrong), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace dsbfs::core

@@ -280,6 +280,86 @@ TEST(DeltaSssp, RejectsBadArguments) {
   EXPECT_THROW(DistributedDeltaSssp(dg, wrong), std::invalid_argument);
 }
 
+/// Counters and modeled time of the single-source run, pinned on a 2x2x2
+/// cluster (2 nodes x 2 ranks x 2 GPUs, threshold 16, hashed weights,
+/// source = first vertex with an out-edge).  Any change to the bucket
+/// schedule, the wire records or the cost replay shows up here.
+struct DeltaGolden {
+  int scale;
+  std::uint64_t delta;
+  sim::ExchangeTopology topology;
+  bool packed;  // compress + bucket_bias
+  int iterations;
+  std::uint64_t buckets_processed;
+  int light_iterations, heavy_iterations;
+  std::uint64_t light_relaxations, heavy_relaxations;
+  std::uint64_t update_bytes_remote, reduce_bytes;
+  double elapsed_ms;
+};
+
+TEST(DeltaSssp, GoldenCountersAndModeledTime) {
+  static const DeltaGolden kGolden[] = {
+    {8, 1, sim::ExchangeTopology::kFlat, false, 38, 19, 19, 19, 458, 7734, 756, 223744, 2.773765876096133},
+    {8, 1, sim::ExchangeTopology::kFlat, true, 38, 19, 19, 19, 458, 7734, 126, 223744, 2.3819132299538879},
+    {8, 1, sim::ExchangeTopology::kButterfly, false, 38, 19, 19, 19, 458, 7734, 1532, 223744, 3.9822550220639061},
+    {8, 1, sim::ExchangeTopology::kButterfly, true, 38, 19, 19, 19, 458, 7734, 1162, 223744, 4.0137050388626472},
+    {8, 5, sim::ExchangeTopology::kFlat, false, 13, 4, 9, 4, 2724, 5472, 756, 76544, 1.1342329225953278},
+    {8, 5, sim::ExchangeTopology::kFlat, true, 13, 4, 9, 4, 2724, 5472, 126, 76544, 0.9642862501259496},
+    {8, 5, sim::ExchangeTopology::kButterfly, false, 13, 4, 9, 4, 2724, 5472, 1024, 76544, 1.3981869803731333},
+    {8, 5, sim::ExchangeTopology::kButterfly, true, 13, 4, 9, 4, 2724, 5472, 664, 76544, 1.4156433105460162},
+    {8, kInfiniteDistance, sim::ExchangeTopology::kFlat, false, 7, 1, 6, 1, 16482, 0, 1800, 41216, 0.70463638802620521},
+    {8, kInfiniteDistance, sim::ExchangeTopology::kFlat, true, 7, 1, 6, 1, 16482, 0, 300, 41216, 0.70457460408660522},
+    {8, kInfiniteDistance, sim::ExchangeTopology::kButterfly, false, 7, 1, 6, 1, 16482, 0, 1592, 41216, 0.77526046108176228},
+    {8, kInfiniteDistance, sim::ExchangeTopology::kButterfly, true, 7, 1, 6, 1, 16482, 0, 772, 41216, 0.78916413341306035},
+    {10, 1, sim::ExchangeTopology::kFlat, false, 46, 23, 23, 23, 2182, 30586, 1632, 1042176, 3.5520284932142996},
+    {10, 1, sim::ExchangeTopology::kFlat, true, 46, 23, 23, 23, 2182, 30586, 331, 1042176, 3.1006790127194463},
+    {10, 1, sim::ExchangeTopology::kButterfly, false, 46, 23, 23, 23, 2182, 30586, 2692, 1042176, 4.8454202419567505},
+    {10, 1, sim::ExchangeTopology::kButterfly, true, 46, 23, 23, 23, 2182, 30586, 1848, 1042176, 4.9083079024768832},
+    {10, 5, sim::ExchangeTopology::kFlat, false, 17, 6, 11, 6, 13637, 21776, 1716, 385152, 1.5196468486365184},
+    {10, 5, sim::ExchangeTopology::kFlat, true, 17, 6, 11, 6, 13637, 21776, 338, 385152, 1.3637863095354541},
+    {10, 5, sim::ExchangeTopology::kButterfly, false, 17, 6, 11, 6, 13637, 21776, 2068, 385152, 1.8274767667994631},
+    {10, 5, sim::ExchangeTopology::kButterfly, true, 17, 6, 11, 6, 13637, 21776, 1172, 385152, 1.8588791435412597},
+    {10, kInfiniteDistance, sim::ExchangeTopology::kFlat, false, 8, 1, 7, 1, 66160, 0, 3240, 181248, 0.78896997910847699},
+    {10, kInfiniteDistance, sim::ExchangeTopology::kFlat, true, 8, 1, 7, 1, 66160, 0, 593, 181248, 0.7588779923777822},
+    {10, kInfiniteDistance, sim::ExchangeTopology::kButterfly, false, 8, 1, 7, 1, 66160, 0, 2776, 181248, 0.8740439545958959},
+    {10, kInfiniteDistance, sim::ExchangeTopology::kButterfly, true, 8, 1, 7, 1, 66160, 0, 1043, 181248, 0.89136224579264078}};
+  sim::ClusterSpec spec = spec_of(4, 2);
+  spec.ranks_per_node = 2;
+  for (const int scale : {8, 10}) {
+    const graph::EdgeList g =
+        graph::rmat_graph500({.scale = scale, .seed = 21});
+    const VertexId source = first_connected_source(g);
+    sim::Cluster cluster(spec);
+    const graph::DistributedGraph dg = graph::build_distributed(g, spec, 16);
+    const auto oracle =
+        baseline::serial_delta_sssp(graph::build_host_csr(g), source, 5);
+    for (const DeltaGolden& e : kGolden) {
+      if (e.scale != scale) continue;
+      const DeltaSsspResult r =
+          DistributedDeltaSssp(dg, cluster,
+                               {.delta = e.delta,
+                                .compress = e.packed,
+                                .bucket_bias = e.packed,
+                                .exchange_topology = e.topology})
+              .run(source);
+      SCOPED_TRACE(::testing::Message()
+                   << "scale " << scale << " delta " << e.delta
+                   << " topology " << static_cast<int>(e.topology)
+                   << " packed " << e.packed);
+      ASSERT_EQ(r.distances, oracle);
+      EXPECT_EQ(r.iterations, e.iterations);
+      EXPECT_EQ(r.buckets_processed, e.buckets_processed);
+      EXPECT_EQ(r.light_iterations, e.light_iterations);
+      EXPECT_EQ(r.heavy_iterations, e.heavy_iterations);
+      EXPECT_EQ(r.light_relaxations, e.light_relaxations);
+      EXPECT_EQ(r.heavy_relaxations, e.heavy_relaxations);
+      EXPECT_EQ(r.update_bytes_remote, e.update_bytes_remote);
+      EXPECT_EQ(r.reduce_bytes, e.reduce_bytes);
+      EXPECT_EQ(r.modeled.elapsed_ms, e.elapsed_ms);
+    }
+  }
+}
+
 TEST(SerialDeltaSssp, StatsReflectLightHeavySplit) {
   graph::EdgeList g = graph::grid_graph(6, 6);
   graph::assign_uniform_weights(g, 40, 11);

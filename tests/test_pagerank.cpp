@@ -143,5 +143,19 @@ TEST(Pagerank, HubsOutrankLeaves) {
   EXPECT_GT(delegate_mean, 4.0 / static_cast<double>(g.num_vertices));
 }
 
+TEST(Pagerank, RejectsBadArguments) {
+  const graph::EdgeList g = graph::path_graph(8);
+  const auto spec = spec_of(2, 1);
+  sim::Cluster cluster(spec);
+  const graph::DistributedGraph dg = graph::build_distributed(g, spec, 4);
+  // Codec refinements are meaningless without the codec.
+  EXPECT_THROW(DistributedPagerank(dg, cluster, {.adaptive_compress = true}),
+               std::invalid_argument);
+  EXPECT_THROW(DistributedPagerank(dg, cluster, {.gorilla = true}),
+               std::invalid_argument);
+  sim::Cluster wrong(spec_of(4, 1));
+  EXPECT_THROW(DistributedPagerank(dg, wrong), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace dsbfs::core

@@ -269,6 +269,8 @@ TEST(QueryScheduler, RejectsBadTracesAndWidths) {
                std::invalid_argument);
   EXPECT_THROW(QueryScheduler(dg, cluster, {.width = 65}),
                std::invalid_argument);
+  EXPECT_THROW(QueryScheduler(dg, cluster, {.adaptive_compress = true}),
+               std::invalid_argument);
   QueryScheduler scheduler(dg, cluster, {.width = 4});
   EXPECT_THROW(
       scheduler.run(std::vector<QueryArrival>{{999, 0}}), std::out_of_range);

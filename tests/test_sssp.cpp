@@ -247,6 +247,9 @@ TEST(Sssp, RejectsBadArguments) {
   EXPECT_THROW(sssp.run(1000), std::out_of_range);
   EXPECT_THROW(DistributedSssp(dg, cluster, SsspOptions{.max_weight = 0}),
                std::invalid_argument);
+  EXPECT_THROW(
+      DistributedSssp(dg, cluster, SsspOptions{.adaptive_compress = true}),
+      std::invalid_argument);
   sim::Cluster wrong(spec_of(4, 1));
   EXPECT_THROW(DistributedSssp(dg, wrong), std::invalid_argument);
 }
