@@ -14,8 +14,8 @@
 // compression.
 //
 // Exit status is non-zero when any lane diverges from its serial oracle,
-// when the W = 1 / value_bits = 64 batch fails to reproduce the
-// single-source engine's schedule and wire bytes, when the W = 64 batch's
+// when the W = 1 / value_bits = 64 batch fails to reproduce serial
+// delta-stepping's distances and bucket count, when the W = 64 batch's
 // modeled speedup is not above 8x, when the BC scores diverge or its
 // composed model loses rows, or when adaptive Gorilla ships more PageRank
 // bytes than raw -- CI runs this on a small graph as a smoke test
@@ -135,11 +135,9 @@ int main(int argc, char** argv) {
 
   const std::vector<std::uint64_t> deltas = {3, 8};
   // Per-delta single-source baselines: modeled time per pool entry (the
-  // sequential cost a batched run amortizes) and the serial oracles; the
-  // delta = 8, pool[0] metrics feed the W = 1 reproduction checks.
+  // sequential cost a batched run amortizes) and the serial oracles.
   std::map<std::uint64_t, std::vector<double>> single_ms;
   std::map<std::uint64_t, std::vector<std::vector<std::uint64_t>>> oracle;
-  core::DeltaSsspResult single0;
   for (const std::uint64_t delta : deltas) {
     core::DistributedDeltaSssp single(dg, cluster, {.delta = delta});
     auto& ms = single_ms[delta];
@@ -147,10 +145,8 @@ int main(int argc, char** argv) {
     ms.resize(pool.size());
     ora.resize(pool.size());
     for (std::size_t k = 0; k < pool.size(); ++k) {
-      core::DeltaSsspResult sr = single.run(pool[k]);
-      ms[k] = sr.modeled_ms;
+      ms[k] = single.run(pool[k]).modeled_ms;
       ora[k] = baseline::serial_delta_sssp(host, pool[k], delta);
-      if (delta == 8 && k == 0) single0 = std::move(sr);
     }
   }
 
@@ -205,21 +201,20 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- W = 1 at full lane width must reproduce the single-source run ----
+  // ---- W = 1 at full lane width must reproduce serial delta-stepping ----
   {
-    core::DistributedBatchSssp sssp(dg, cluster,
-                                    {.delta = 8, .value_bits = 64});
+    const core::BatchSsspOptions options{.delta = 8, .value_bits = 64};
+    core::DistributedBatchSssp sssp(dg, cluster, options);
     const core::BatchSsspResult r = sssp.run({pool[0]});
-    if (r.distances[0] != single0.distances ||
-        r.iterations != single0.iterations ||
-        r.buckets_processed != single0.buckets_processed ||
-        r.update_bytes_remote != single0.update_bytes_remote ||
-        r.reduce_bytes != single0.reduce_bytes) {
-      std::cerr << "FAIL: W=1/64-bit batch does not reproduce the "
-                << "single-source run (iterations " << r.iterations << " vs "
-                << single0.iterations << ", wire " << r.update_bytes_remote
-                << " vs " << single0.update_bytes_remote << ", reduce "
-                << r.reduce_bytes << " vs " << single0.reduce_bytes << ")\n";
+    baseline::SerialDeltaStats stats;
+    const std::vector<std::uint64_t> serial = baseline::serial_delta_sssp(
+        host, pool[0], options.delta, options.max_weight, &stats);
+    if (r.distances[0] != serial ||
+        r.buckets_processed != stats.buckets_processed) {
+      std::cerr << "FAIL: W=1/64-bit batch does not reproduce serial "
+                << "delta-stepping (buckets " << r.buckets_processed << " vs "
+                << stats.buckets_processed << ", distances "
+                << (r.distances[0] == serial ? "equal" : "differ") << ")\n";
       ok = false;
     }
   }
@@ -283,7 +278,7 @@ int main(int argc, char** argv) {
 
   if (ok) {
     std::cerr << "checks passed: every lane matches serial delta-stepping, "
-              << "W=1 reproduces the single-source run, W=64 exceeds 8x "
+              << "W=1 reproduces serial delta-stepping, W=64 exceeds 8x "
               << "modeled speedup, BC matches serial Brandes through the "
               << "composed model, and adaptive Gorilla never exceeds raw\n";
   }

@@ -54,7 +54,8 @@ DistributedGraph build_distributed(const EdgeList& g, sim::ClusterSpec spec,
 
   out.locals_.resize(static_cast<std::size_t>(p));
   const LocalId d = out.delegates_.count();
-  util::parallel_for(0, static_cast<std::size_t>(p), [&](std::size_t gi) {
+  // One heavy block per GPU: the p CSR builds run concurrently.
+  util::parallel_for_blocks(static_cast<std::size_t>(p), [&](std::size_t gi) {
     const auto coord = spec.coord_of(static_cast<int>(gi));
     out.locals_[gi] = LocalGraph(spec, coord, g.num_vertices, d,
                                  std::move(dist.gpus[gi]));

@@ -1,23 +1,19 @@
 #include "graph/degree.hpp"
 
-#include <algorithm>
-
 namespace dsbfs::graph {
 
 DelegateInfo DelegateInfo::select(const std::vector<std::uint32_t>& degrees,
                                   std::uint32_t threshold) {
   DelegateInfo info;
   info.threshold_ = threshold;
+  info.id_of_.assign(degrees.size(), kInvalidLocal);
   for (VertexId v = 0; v < degrees.size(); ++v) {
-    if (degrees[v] > threshold) info.vertices_.push_back(v);
+    if (degrees[v] > threshold) {
+      info.id_of_[v] = static_cast<LocalId>(info.vertices_.size());
+      info.vertices_.push_back(v);
+    }
   }
   return info;
-}
-
-LocalId DelegateInfo::delegate_id(VertexId v) const noexcept {
-  const auto it = std::lower_bound(vertices_.begin(), vertices_.end(), v);
-  if (it == vertices_.end() || *it != v) return kInvalidLocal;
-  return static_cast<LocalId>(it - vertices_.begin());
 }
 
 }  // namespace dsbfs::graph

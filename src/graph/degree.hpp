@@ -30,8 +30,11 @@ class DelegateInfo {
   /// Vertex id of a delegate.
   VertexId vertex_of(LocalId delegate) const { return vertices_.at(delegate); }
 
-  /// Delegate id of a vertex, or kInvalidLocal when it is normal.
-  LocalId delegate_id(VertexId v) const noexcept;
+  /// Delegate id of a vertex, or kInvalidLocal when it is normal (one
+  /// table lookup: edge distribution calls this per delegate endpoint).
+  LocalId delegate_id(VertexId v) const noexcept {
+    return v < id_of_.size() ? id_of_[v] : kInvalidLocal;
+  }
 
   bool is_delegate(VertexId v) const noexcept {
     return delegate_id(v) != kInvalidLocal;
@@ -42,6 +45,7 @@ class DelegateInfo {
  private:
   std::uint32_t threshold_ = 0;
   std::vector<VertexId> vertices_;  // ascending; index = delegate id
+  std::vector<LocalId> id_of_;      // per vertex: delegate id or kInvalidLocal
 };
 
 }  // namespace dsbfs::graph

@@ -6,42 +6,80 @@
 
 namespace dsbfs::graph {
 
+namespace {
+
+/// Turn per-degree counts into cumulative "at most t" counts, in place.
+void accumulate(std::vector<std::uint64_t>& counts) {
+  std::uint64_t run = 0;
+  for (std::uint64_t& c : counts) {
+    run += c;
+    c = run;
+  }
+}
+
+}  // namespace
+
 PartitionStatsSweeper::PartitionStatsSweeper(const EdgeList& g) {
   num_vertices_ = g.num_vertices;
-  const std::vector<std::uint32_t> degrees = out_degrees(g);
-  sorted_degrees_ = degrees;
-  std::sort(sorted_degrees_.begin(), sorted_degrees_.end());
-
   const std::size_t m = g.size();
-  min_degree_.resize(m);
-  max_degree_.resize(m);
-  util::parallel_for(0, m, [&](std::size_t i) {
-    const std::uint32_t du = degrees[g.src[i]];
-    const std::uint32_t dv = degrees[g.dst[i]];
-    min_degree_[i] = std::min(du, dv);
-    max_degree_[i] = std::max(du, dv);
+  num_edges_ = m;
+  const std::vector<std::uint32_t> degrees = out_degrees(g);
+  const std::uint32_t max_degree =
+      degrees.empty() ? 0 : *std::max_element(degrees.begin(), degrees.end());
+  const std::size_t bins = std::size_t{max_degree} + 1;
+
+  vertices_at_most_.assign(bins, 0);
+  for (const std::uint32_t d : degrees) ++vertices_at_most_[d];
+  accumulate(vertices_at_most_);
+
+  // Edge histograms from per-block partials.  The block count keeps the
+  // partials (2 x bins counters each) within a quarter of the edge count,
+  // so merging them stays O(m) however skewed the degrees are.
+  const std::size_t blocks = std::clamp<std::size_t>(
+      m / (4 * bins), 1, util::parallel_worker_count());
+  const std::size_t per_block = (m + blocks - 1) / blocks;
+  std::vector<std::vector<std::uint64_t>> min_part(blocks);
+  std::vector<std::vector<std::uint64_t>> max_part(blocks);
+  util::parallel_for_blocks(blocks, [&](std::size_t b) {
+    std::vector<std::uint64_t>& lo_hist = min_part[b];
+    std::vector<std::uint64_t>& hi_hist = max_part[b];
+    lo_hist.assign(bins, 0);
+    hi_hist.assign(bins, 0);
+    const std::size_t end = std::min(m, (b + 1) * per_block);
+    for (std::size_t i = b * per_block; i < end; ++i) {
+      const std::uint32_t du = degrees[g.src[i]];
+      const std::uint32_t dv = degrees[g.dst[i]];
+      ++lo_hist[std::min(du, dv)];
+      ++hi_hist[std::max(du, dv)];
+    }
   });
-  std::sort(min_degree_.begin(), min_degree_.end());
-  std::sort(max_degree_.begin(), max_degree_.end());
+  min_at_most_ = std::move(min_part[0]);
+  max_at_most_ = std::move(max_part[0]);
+  for (std::size_t b = 1; b < blocks; ++b) {
+    for (std::size_t t = 0; t < bins; ++t) {
+      min_at_most_[t] += min_part[b][t];
+      max_at_most_[t] += max_part[b][t];
+    }
+  }
+  accumulate(min_at_most_);
+  accumulate(max_at_most_);
 }
 
 PartitionStats PartitionStatsSweeper::at(std::uint32_t threshold) const {
   PartitionStats s;
   s.threshold = threshold;
   s.num_vertices = num_vertices_;
-  s.num_edges = min_degree_.size();
+  s.num_edges = num_edges_;
 
+  // Every degree is at most D, so thresholds at or above D read bin D.
+  const std::size_t t =
+      std::min<std::size_t>(threshold, vertices_at_most_.size() - 1);
   // delegates: degree > TH
-  s.delegates = sorted_degrees_.end() -
-                std::upper_bound(sorted_degrees_.begin(), sorted_degrees_.end(),
-                                 threshold);
+  s.delegates = num_vertices_ - vertices_at_most_[t];
   // dd: both endpoints delegate  <=>  min degree > TH
-  s.dd_edges = min_degree_.end() - std::upper_bound(min_degree_.begin(),
-                                                    min_degree_.end(), threshold);
+  s.dd_edges = num_edges_ - min_at_most_[t];
   // nn: both normal  <=>  max degree <= TH
-  s.nn_edges = std::upper_bound(max_degree_.begin(), max_degree_.end(),
-                                threshold) -
-               max_degree_.begin();
+  s.nn_edges = max_at_most_[t];
   s.dn_nd_edges = s.num_edges - s.dd_edges - s.nn_edges;
   return s;
 }

@@ -8,9 +8,13 @@
 /// Degree-threshold analytics behind Figures 5, 7 and 12.
 ///
 /// For a given TH the edge population splits into dd / dn / nd / nn by the
-/// delegate-ness of each endpoint, and a delegate fraction follows.  The
-/// sweeper pre-sorts min/max endpoint degrees once so a whole TH sweep is
-/// O(m log m + #TH * log m) instead of O(#TH * m).
+/// delegate-ness of each endpoint, and a delegate fraction follows.  Degrees
+/// are bounded by the maximum degree D, so the sweeper builds three
+/// cumulative histograms indexed by degree -- vertices by degree, edges by
+/// min and by max endpoint degree -- in one O(n + m + D) pass (the edge
+/// histograms from per-block partials on every worker).  Each query is then
+/// a clamped index, O(1), and the sweeper holds O(D) memory instead of
+/// sorted copies of size n and m.
 namespace dsbfs::graph {
 
 struct PartitionStats {
@@ -43,17 +47,19 @@ class PartitionStatsSweeper {
  public:
   explicit PartitionStatsSweeper(const EdgeList& g);
 
-  /// Stats at a specific threshold (O(log m)).
+  /// Stats at a specific threshold (O(1)).
   PartitionStats at(std::uint32_t threshold) const;
 
   std::uint64_t num_vertices() const noexcept { return num_vertices_; }
-  std::uint64_t num_edges() const noexcept { return min_degree_.size(); }
+  std::uint64_t num_edges() const noexcept { return num_edges_; }
 
  private:
   std::uint64_t num_vertices_ = 0;
-  std::vector<std::uint32_t> sorted_degrees_;  // per vertex
-  std::vector<std::uint32_t> min_degree_;      // per edge: min endpoint degree
-  std::vector<std::uint32_t> max_degree_;      // per edge: max endpoint degree
+  std::uint64_t num_edges_ = 0;
+  // Cumulative counts at degree t in [0, D]; size D + 1.
+  std::vector<std::uint64_t> vertices_at_most_;  // vertices with degree <= t
+  std::vector<std::uint64_t> min_at_most_;  // edges with min endpoint deg <= t
+  std::vector<std::uint64_t> max_at_most_;  // edges with max endpoint deg <= t
 };
 
 struct ThresholdPolicy {

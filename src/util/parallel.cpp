@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
+#include <mutex>
 
 namespace dsbfs::util {
 
@@ -44,6 +46,36 @@ void parallel_for_chunks(std::size_t begin, std::size_t end,
     threads.emplace_back([&fn, lo, hi] { fn(lo, hi); });
   }
   for (auto& t : threads) t.join();
+}
+
+void parallel_for_blocks(std::size_t blocks,
+                         const std::function<void(std::size_t)>& fn) {
+  const std::size_t workers = std::min(parallel_worker_count(), blocks);
+  if (workers <= 1) {
+    for (std::size_t b = 0; b < blocks; ++b) fn(b);
+    return;
+  }
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mu;
+  std::exception_ptr error;
+  const auto drain = [&] {
+    for (std::size_t b = next.fetch_add(1, std::memory_order_relaxed);
+         b < blocks; b = next.fetch_add(1, std::memory_order_relaxed)) {
+      try {
+        fn(b);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mu);
+        if (!error) error = std::current_exception();
+        next.store(blocks, std::memory_order_relaxed);  // stop handing out
+      }
+    }
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(workers - 1);
+  for (std::size_t w = 1; w < workers; ++w) threads.emplace_back(drain);
+  drain();
+  for (auto& t : threads) t.join();
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace dsbfs::util

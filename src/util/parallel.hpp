@@ -25,6 +25,15 @@ void set_parallel_worker_count(std::size_t n) noexcept;
 void parallel_for_chunks(std::size_t begin, std::size_t end,
                          const std::function<void(std::size_t, std::size_t)>& fn);
 
+/// Invoke fn(b) once for every block b in [0, blocks), on up to
+/// parallel_worker_count() threads (the caller included) that take blocks
+/// from a shared counter.  Unlike parallel_for_chunks there is no item
+/// cutoff: each block is taken to be heavy, so even two blocks run
+/// concurrently.  Blocks until every block completes; the first exception
+/// thrown by a block is rethrown to the caller after all threads joined.
+void parallel_for_blocks(std::size_t blocks,
+                         const std::function<void(std::size_t)>& fn);
+
 /// Element-wise parallel for.
 template <typename Fn>
 void parallel_for(std::size_t begin, std::size_t end, Fn&& fn) {

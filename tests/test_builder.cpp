@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+
 #include "graph/generators.hpp"
+#include "graph/partition_stats.hpp"
 #include "graph/rmat.hpp"
+#include "util/parallel.hpp"
 
 namespace dsbfs::graph {
 namespace {
@@ -98,6 +103,94 @@ TEST(Builder, DegreesExposed) {
   EXPECT_EQ(dg.degrees()[5], 1u);
   EXPECT_EQ(dg.num_delegates(), 1u);
   EXPECT_TRUE(dg.delegates().is_delegate(0));
+}
+
+/// Order-sensitive 64-bit hash of what construction produced: the
+/// threshold, the delegate list, and every CSR offsets / cols / weights
+/// array on every GPU.
+class ConstructionDigest {
+ public:
+  void add(std::uint64_t v) noexcept {
+    h_ = std::rotl((h_ ^ v) * 0x9e3779b97f4a7c15ULL, 29) *
+         0xbf58476d1ce4e5b9ULL;
+  }
+  template <typename T>
+  void add_all(const std::vector<T>& values) noexcept {
+    add(values.size());
+    for (const T v : values) add(static_cast<std::uint64_t>(v));
+  }
+  template <typename Csr>
+  void add_csr(const Csr& csr) noexcept {
+    add_all(csr.offsets());
+    add_all(csr.cols());
+  }
+  std::uint64_t value() const noexcept { return h_; }
+
+ private:
+  std::uint64_t h_ = 0x6a09e667f3bcc908ULL;
+};
+
+std::uint64_t construction_digest(const DistributedGraph& dg) {
+  ConstructionDigest d;
+  d.add(dg.threshold());
+  d.add_all(dg.delegates().vertices());
+  for (std::size_t gi = 0; gi < dg.num_locals(); ++gi) {
+    const LocalGraph& lg = dg.local(static_cast<int>(gi));
+    d.add_csr(lg.nn());
+    d.add_csr(lg.nd());
+    d.add_csr(lg.dn());
+    d.add_csr(lg.dd());
+    d.add_all(lg.nn_weights());
+    d.add_all(lg.nd_weights());
+    d.add_all(lg.dn_weights());
+    d.add_all(lg.dd_weights());
+  }
+  return d.value();
+}
+
+TEST(Builder, GoldenConstructionDigest) {
+  // The sweep-chosen threshold and the full distributed graph at it and at
+  // a low threshold (many delegates, every edge class populated), pinned
+  // to the values of the search-based serial construction this pipeline
+  // replaced, and required to be independent of the host worker count.
+  struct Golden {
+    int scale;
+    bool weighted;
+    const char* shape;
+    std::uint32_t threshold;
+    std::uint64_t digest;
+  };
+  const Golden cases[] = {
+      {12, false, "2x1x2", 181, 0xc458f3c4ff240dafULL},
+      {12, false, "2x2x2", 181, 0xf3bc7e140c2a95fbULL},
+      {12, true, "2x1x2", 181, 0x1aed8cf64e16cbfdULL},
+      {12, true, "2x2x2", 181, 0x10ba7de28645483aULL},
+      {14, false, "2x1x2", 127, 0xf39df01070391fdeULL},
+      {14, false, "2x2x2", 127, 0x3a8808f7aa061178ULL},
+      {14, true, "2x1x2", 127, 0x83ecf65ba6e03729ULL},
+      {14, true, "2x2x2", 127, 0xe0ddc109cbb46551ULL},
+  };
+  constexpr std::uint32_t kLowThreshold = 8;
+  for (const Golden& c : cases) {
+    EdgeList g = rmat_graph500({.scale = c.scale, .seed = 7});
+    if (c.weighted) assign_uniform_weights(g, 255, 7);
+    const sim::ClusterSpec spec = sim::ClusterSpec::parse(c.shape);
+    for (const std::size_t workers : {0u, 1u, 7u}) {
+      util::set_parallel_worker_count(workers);
+      const std::uint32_t th =
+          suggest_threshold(PartitionStatsSweeper(g), spec.total_gpus());
+      ConstructionDigest d;
+      d.add(construction_digest(build_distributed(g, spec, th)));
+      d.add(construction_digest(build_distributed(g, spec, kLowThreshold)));
+      util::set_parallel_worker_count(0);
+      const std::string where = "scale " + std::to_string(c.scale) +
+                                (c.weighted ? " weighted " : " unweighted ") +
+                                c.shape + " workers " + std::to_string(workers);
+      EXPECT_EQ(th, c.threshold) << where;
+      EXPECT_EQ(d.value(), c.digest) << where << std::hex << " got 0x"
+                                     << d.value();
+    }
+  }
 }
 
 }  // namespace

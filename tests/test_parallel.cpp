@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <numeric>
+#include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace dsbfs::util {
@@ -63,6 +68,63 @@ TEST(Parallel, ResultIndependentOfWorkerCount) {
     return out;
   };
   EXPECT_EQ(run(1), run(7));
+}
+
+TEST(Parallel, LargeRangeRunsOnSeveralThreads) {
+  constexpr std::size_t kN = 1 << 20;
+  set_parallel_worker_count(4);
+  std::vector<std::thread::id> ran_on(kN);
+  parallel_for(0, kN, [&](std::size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+  });
+  set_parallel_worker_count(0);
+  const std::set<std::thread::id> threads(ran_on.begin(), ran_on.end());
+  EXPECT_GT(threads.size(), 1u);
+}
+
+TEST(Parallel, BlocksRunOnSeveralThreads) {
+  // Four blocks are far below any item cutoff, yet each is taken to be
+  // heavy.  Every block waits (bounded) for a second block to start, so a
+  // serial implementation records a single thread id and fails.
+  set_parallel_worker_count(4);
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  std::atomic<int> started{0};
+  std::vector<int> hits(4, 0);
+  parallel_for_blocks(4, [&](std::size_t b) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      threads.insert(std::this_thread::get_id());
+    }
+    ++hits[b];
+    started.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (started.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  });
+  set_parallel_worker_count(0);
+  EXPECT_EQ(hits, std::vector<int>(4, 1));
+  EXPECT_GT(threads.size(), 1u);
+}
+
+TEST(Parallel, BlocksEdgeCases) {
+  bool called = false;
+  parallel_for_blocks(0, [&](std::size_t) { called = true; });
+  EXPECT_FALSE(called);
+  // A throwing block surfaces on the caller after every thread joined.
+  set_parallel_worker_count(3);
+  EXPECT_THROW(parallel_for_blocks(16,
+                                   [](std::size_t b) {
+                                     if (b == 5) throw std::runtime_error("b");
+                                   }),
+               std::runtime_error);
+  set_parallel_worker_count(1);
+  std::vector<std::size_t> order;
+  parallel_for_blocks(3, [&](std::size_t b) { order.push_back(b); });
+  set_parallel_worker_count(0);
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2}));
 }
 
 }  // namespace

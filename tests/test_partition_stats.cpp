@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "graph/degree.hpp"
 #include "graph/distributor.hpp"
+#include "graph/generators.hpp"
 #include "graph/rmat.hpp"
 
 namespace dsbfs::graph {
@@ -34,15 +37,27 @@ PartitionStats brute_force(const EdgeList& g, std::uint32_t th) {
 }
 
 TEST(PartitionStats, SweeperMatchesBruteForce) {
-  const EdgeList g = rmat_graph500({.scale = 11, .seed = 21});
-  const PartitionStatsSweeper sweeper(g);
-  for (const std::uint32_t th : {0u, 1u, 4u, 16u, 64u, 256u, 1u << 20}) {
-    const PartitionStats fast = sweeper.at(th);
-    const PartitionStats slow = brute_force(g, th);
-    EXPECT_EQ(fast.delegates, slow.delegates) << "th=" << th;
-    EXPECT_EQ(fast.dd_edges, slow.dd_edges) << "th=" << th;
-    EXPECT_EQ(fast.nn_edges, slow.nn_edges) << "th=" << th;
-    EXPECT_EQ(fast.dn_nd_edges, slow.dn_nd_edges) << "th=" << th;
+  // An empty edge list and a star with isolated vertices next to it cover
+  // the degree-0 and single-degree-bucket corners of the sweeper.
+  EdgeList isolated = star_graph(16);
+  isolated.num_vertices = 64;
+  const EdgeList inputs[] = {rmat_graph500({.scale = 11, .seed = 21}),
+                             EdgeList{}, isolated};
+  for (const EdgeList& g : inputs) {
+    const PartitionStatsSweeper sweeper(g);
+    EXPECT_EQ(sweeper.num_edges(), g.size());
+    for (const std::uint32_t th : {0u, 1u, 4u, 15u, 16u, 64u, 256u, 1u << 20}) {
+      const PartitionStats fast = sweeper.at(th);
+      const PartitionStats slow = brute_force(g, th);
+      const std::string where =
+          "n=" + std::to_string(g.num_vertices) + " th=" + std::to_string(th);
+      EXPECT_EQ(fast.num_vertices, slow.num_vertices) << where;
+      EXPECT_EQ(fast.num_edges, slow.num_edges) << where;
+      EXPECT_EQ(fast.delegates, slow.delegates) << where;
+      EXPECT_EQ(fast.dd_edges, slow.dd_edges) << where;
+      EXPECT_EQ(fast.nn_edges, slow.nn_edges) << where;
+      EXPECT_EQ(fast.dn_nd_edges, slow.dn_nd_edges) << where;
+    }
   }
 }
 
