@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 #include <span>
 #include <string>
 
@@ -29,20 +30,13 @@ std::vector<std::uint64_t> pack_ids(const std::vector<LocalId>& ids) {
   return out;
 }
 
-std::uint64_t uniquify_bin(std::vector<LocalId>& bin) {
-  const std::size_t before = bin.size();
-  std::sort(bin.begin(), bin.end());
-  bin.erase(std::unique(bin.begin(), bin.end()), bin.end());
-  return before - bin.size();
-}
-
 /// Coalesce candidates sharing a destination vertex with the bin's combine;
-/// leaves the bin sorted by vertex id.  Returns the number removed.
-/// `lane_value_bits` is the sub-lane width of the kLaneMin/kLaneSum packed
-/// words (ignored by the scalar combines).
-std::uint64_t coalesce_bin(std::vector<VertexUpdate>& bin,
-                           UpdateCombine combine, int lane_value_bits) {
-  if (bin.size() < 2) return 0;
+/// leaves the bin sorted by vertex id.  `lane_value_bits` is the sub-lane
+/// width of the kLaneMin/kLaneSum packed words (ignored by the scalar
+/// combines).
+void coalesce_bin(std::vector<VertexUpdate>& bin, UpdateCombine combine,
+                  int lane_value_bits) {
+  if (bin.size() < 2) return;
   std::sort(bin.begin(), bin.end(),
             [](const VertexUpdate& a, const VertexUpdate& b) {
               return a.vertex < b.vertex;
@@ -68,20 +62,15 @@ std::uint64_t coalesce_bin(std::vector<VertexUpdate>& bin,
     }
     bin[out++] = u;
   }
-  const std::uint64_t removed = bin.size() - out;
   bin.resize(out);
-  return removed;
 }
 
-// ---- delta+varint update encoding -----------------------------------------
-
-void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(0x80 | (v & 0x7f)));
-    v >>= 7;
-  }
-  out.push_back(static_cast<std::uint8_t>(v));
-}
+// ---- byte stream of the encoded update formats ----------------------------
+// Both encoded formats ship [count, byte_count, bytes packed LE into words].
+// Ids travel as zigzag varint deltas from the previous id (ascending after
+// coalescing, so deltas are small non-negatives).  Delta+varint interleaves
+// each id with its value as a plain varint; Gorilla writes every id first,
+// then the values as a byte-aligned bit stream.
 
 std::uint64_t zigzag(std::int64_t v) {
   return (static_cast<std::uint64_t>(v) << 1) ^
@@ -92,141 +81,204 @@ std::int64_t unzigzag(std::uint64_t v) {
   return static_cast<std::int64_t>(v >> 1) ^ -static_cast<std::int64_t>(v & 1);
 }
 
-/// Wire format: [count, payload_byte_count, payload bytes packed LE].  Ids
-/// travel as zigzag varint deltas from the previous id (ascending after
-/// coalescing, so deltas are small non-negatives), values as plain varints
-/// after subtracting the caller's bias (mod 2^64; the receiver adds it
-/// back, so any bias round-trips bit-exactly).
-std::vector<std::uint64_t> pack_updates_compressed(
-    const std::vector<VertexUpdate>& updates, std::uint64_t value_bias) {
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(updates.size() * 3);
-  std::int64_t prev = 0;
-  for (const VertexUpdate& u : updates) {
-    put_varint(bytes, zigzag(static_cast<std::int64_t>(u.vertex) - prev));
-    prev = static_cast<std::int64_t>(u.vertex);
-    put_varint(bytes, u.value - value_bias);
+class ByteWriter {
+ public:
+  explicit ByteWriter(std::size_t reserve_bytes) {
+    bytes_.reserve(reserve_bytes);
   }
-  std::vector<std::uint64_t> words;
-  words.reserve(2 + (bytes.size() + 7) / 8);
-  words.push_back(updates.size());
-  words.push_back(bytes.size());
-  for (std::size_t i = 0; i < bytes.size(); i += 8) {
-    std::uint64_t w = 0;
-    for (std::size_t b = 0; b < 8 && i + b < bytes.size(); ++b) {
-      w |= static_cast<std::uint64_t>(bytes[i + b]) << (8 * b);
+
+  void varint(std::uint64_t v) {
+    while (v >= 0x80) {
+      bytes_.push_back(static_cast<std::uint8_t>(0x80 | (v & 0x7f)));
+      v >>= 7;
     }
-    words.push_back(w);
+    bytes_.push_back(static_cast<std::uint8_t>(v));
   }
-  return words;
-}
 
-// ---- Gorilla-style value encoding -----------------------------------------
-// The XOR-vs-previous scheme of Facebook's Gorilla TSDB, applied to the
-// bit-cast 64-bit value stream of one bin: a repeated value costs one bit,
-// a value sharing its predecessor's significant-bit window costs
-// 2 + window bits, anything else re-opens a window for 14 + window bits.
-// Ids still travel as zigzag varint deltas (the same id stream the
-// delta+varint encoder ships), written before the byte-aligned value bit
-// stream, so the [count, byte_count, bytes LE] header -- and with it the
-// hop traits and the adaptive flag word -- carry over unchanged.
+  void id(LocalId v) {
+    varint(zigzag(static_cast<std::int64_t>(v) - prev_id_));
+    prev_id_ = static_cast<std::int64_t>(v);
+  }
 
-struct BitWriter {
-  std::vector<std::uint8_t>& bytes;
-  int used = 0;  // bits used in the last byte (0 = none open)
-
-  void put(std::uint64_t bits, int n) {
+  /// Append the low `n` bits of `v`, least significant first; the bit
+  /// stream starts on a fresh byte after the varints.
+  void bits(std::uint64_t v, int n) {
     for (int i = 0; i < n; ++i) {
-      if (used == 0) bytes.push_back(0);
-      if ((bits >> i) & 1) {
-        bytes.back() |= static_cast<std::uint8_t>(1u << used);
+      if (used_ == 0) bytes_.push_back(0);
+      if ((v >> i) & 1) {
+        bytes_.back() |= static_cast<std::uint8_t>(1u << used_);
       }
-      used = (used + 1) & 7;
+      used_ = (used_ + 1) & 7;
     }
   }
+
+  std::vector<std::uint64_t> finish(std::uint64_t count) const {
+    std::vector<std::uint64_t> words;
+    words.reserve(2 + (bytes_.size() + 7) / 8);
+    words.push_back(count);
+    words.push_back(bytes_.size());
+    for (std::size_t i = 0; i < bytes_.size(); i += 8) {
+      std::uint64_t w = 0;
+      for (std::size_t b = 0; b < 8 && i + b < bytes_.size(); ++b) {
+        w |= static_cast<std::uint64_t>(bytes_[i + b]) << (8 * b);
+      }
+      words.push_back(w);
+    }
+    return words;
+  }
+
+ private:
+  std::vector<std::uint8_t> bytes_;
+  std::int64_t prev_id_ = 0;
+  int used_ = 0;  // bits used in the last byte (0 = none open)
 };
 
-struct BitReader {
-  std::span<const std::uint64_t> words;  // full payload, bytes packed LE
-  std::uint64_t byte_pos;                // absolute byte offset of the stream
-  std::uint64_t byte_end;
-  int used = 0;  // bits consumed of the current byte
+/// Bounds-checked reader of the same stream, straight out of the word
+/// buffer.  The constructor validates the header; every read past the
+/// declared bytes throws DecodeError.
+class ByteReader {
+ public:
+  /// `format` names the payload in errors; every record of it takes at
+  /// least `min_record_bytes` bytes.
+  ByteReader(std::span<const std::uint64_t> words, const char* format,
+             std::uint64_t min_record_bytes)
+      : words_(words), format_(format) {
+    if (words.size() < 2) {
+      throw DecodeError(std::string(format) +
+                        " update payload missing its 2-word header");
+    }
+    count_ = words[0];
+    end_ = words[1];
+    const std::uint64_t body_words = words.size() - 2;
+    // The byte count must land inside the final word: both a short body and
+    // trailing whole words of garbage are rejected.
+    if (end_ > body_words * 8 ||
+        (body_words > 0 && end_ <= (body_words - 1) * 8)) {
+      throw DecodeError(std::string(format) + " payload length mismatch: " +
+                        std::to_string(end_) + " declared bytes vs " +
+                        std::to_string(body_words) + " body words");
+    }
+    if (count_ > end_ / min_record_bytes) {
+      throw DecodeError(std::string(format) + " update count " +
+                        std::to_string(count_) + " exceeds its " +
+                        std::to_string(end_) + "-byte payload");
+    }
+  }
 
-  std::uint64_t get(int n) {
+  std::uint64_t count() const { return count_; }
+
+  std::uint64_t varint() {
+    std::uint64_t v = 0;
+    int shift = 0;
+    while (true) {
+      if (pos_ >= end_) throw DecodeError("varint truncated");
+      if (shift > 63) throw DecodeError("varint wider than 64 bits");
+      const std::uint8_t b = byte(pos_++);
+      v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+      if ((b & 0x80) == 0) return v;
+      shift += 7;
+    }
+  }
+
+  LocalId id() {
+    // Unsigned: delta arithmetic wraps mod 2^64.
+    prev_id_ += static_cast<std::uint64_t>(unzigzag(varint()));
+    if ((prev_id_ >> 32) != 0) {
+      throw DecodeError("decoded vertex id overflows 32 bits");
+    }
+    return static_cast<LocalId>(prev_id_);
+  }
+
+  std::uint64_t bits(int n) {
     std::uint64_t out = 0;
     for (int i = 0; i < n; ++i) {
-      if (byte_pos >= byte_end) {
-        throw DecodeError("gorilla value stream truncated");
+      if (pos_ >= end_) {
+        throw DecodeError(std::string(format_) + " bit stream truncated");
       }
-      const auto b = static_cast<std::uint8_t>(words[2 + byte_pos / 8] >>
-                                               (8 * (byte_pos % 8)));
-      out |= static_cast<std::uint64_t>((b >> used) & 1) << i;
-      if (++used == 8) {
-        used = 0;
-        ++byte_pos;
+      out |= static_cast<std::uint64_t>((byte(pos_) >> used_) & 1) << i;
+      if (++used_ == 8) {
+        used_ = 0;
+        ++pos_;
       }
     }
     return out;
   }
 
-  /// Byte offset just past the last consumed bit.
-  std::uint64_t consumed_end() const { return byte_pos + (used != 0 ? 1 : 0); }
+  /// Throws unless the reads consumed exactly the declared bytes.
+  void expect_end() const {
+    if (pos_ + (used_ != 0 ? 1 : 0) != end_) {
+      throw DecodeError(std::string(format_) + " payload has trailing bytes");
+    }
+  }
+
+ private:
+  std::uint8_t byte(std::uint64_t pos) const {
+    return static_cast<std::uint8_t>(words_[2 + pos / 8] >> (8 * (pos % 8)));
+  }
+
+  std::span<const std::uint64_t> words_;
+  const char* format_;
+  std::uint64_t count_ = 0;
+  std::uint64_t end_ = 0;
+  std::uint64_t pos_ = 0;  // byte offset into the stream
+  int used_ = 0;           // bits consumed of the current byte
+  std::uint64_t prev_id_ = 0;
 };
 
+/// Delta+varint: values as plain varints after subtracting the caller's
+/// bias (mod 2^64; the receiver adds it back, so any bias round-trips
+/// bit-exactly).
+std::vector<std::uint64_t> pack_updates_compressed(
+    const std::vector<VertexUpdate>& updates, std::uint64_t value_bias) {
+  ByteWriter w(updates.size() * 3);
+  for (const VertexUpdate& u : updates) {
+    w.id(u.vertex);
+    w.varint(u.value - value_bias);
+  }
+  return w.finish(updates.size());
+}
+
+// Gorilla: the XOR-vs-previous scheme of Facebook's Gorilla TSDB, applied
+// to the bit-cast 64-bit value stream of one bin: a repeated value costs
+// one bit, a value sharing its predecessor's significant-bit window costs
+// 2 + window bits, anything else re-opens a window for 14 + window bits.
 std::vector<std::uint64_t> pack_updates_gorilla(
     const std::vector<VertexUpdate>& updates) {
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(updates.size() * 6);
-  std::int64_t prev_id = 0;
-  for (const VertexUpdate& u : updates) {
-    put_varint(bytes, zigzag(static_cast<std::int64_t>(u.vertex) - prev_id));
-    prev_id = static_cast<std::int64_t>(u.vertex);
-  }
-  BitWriter w{bytes};
+  ByteWriter w(updates.size() * 6);
+  for (const VertexUpdate& u : updates) w.id(u.vertex);
   std::uint64_t prev = 0;
   int win_lead = -1, win_len = 0;  // no window open yet
   for (std::size_t i = 0; i < updates.size(); ++i) {
     const std::uint64_t v = updates[i].value;
     if (i == 0) {
-      w.put(v, 64);
+      w.bits(v, 64);
       prev = v;
       continue;
     }
     const std::uint64_t x = v ^ prev;
     prev = v;
     if (x == 0) {
-      w.put(0, 1);
+      w.bits(0, 1);
       continue;
     }
-    w.put(1, 1);
+    w.bits(1, 1);
     const int lead = std::countl_zero(x);
     const int trail = std::countr_zero(x);
     const int win_trail = 64 - win_lead - win_len;
     if (win_lead >= 0 && lead >= win_lead && trail >= win_trail) {
-      w.put(0, 1);
-      w.put(x >> win_trail, win_len);
+      w.bits(0, 1);
+      w.bits(x >> win_trail, win_len);
     } else {
-      w.put(1, 1);
-      w.put(static_cast<std::uint64_t>(lead), 6);
+      w.bits(1, 1);
+      w.bits(static_cast<std::uint64_t>(lead), 6);
       const int len = 64 - lead - trail;
-      w.put(static_cast<std::uint64_t>(len - 1), 6);
-      w.put(x >> trail, len);
+      w.bits(static_cast<std::uint64_t>(len - 1), 6);
+      w.bits(x >> trail, len);
       win_lead = lead;
       win_len = len;
     }
   }
-  std::vector<std::uint64_t> words;
-  words.reserve(2 + (bytes.size() + 7) / 8);
-  words.push_back(updates.size());
-  words.push_back(bytes.size());
-  for (std::size_t i = 0; i < bytes.size(); i += 8) {
-    std::uint64_t word = 0;
-    for (std::size_t b = 0; b < 8 && i + b < bytes.size(); ++b) {
-      word |= static_cast<std::uint64_t>(bytes[i + b]) << (8 * b);
-    }
-    words.push_back(word);
-  }
-  return words;
+  return w.finish(updates.size());
 }
 
 std::vector<std::uint64_t> pack_updates_raw(
@@ -241,190 +293,341 @@ std::vector<std::uint64_t> pack_updates_raw(
   return words;
 }
 
-/// Per-bin coalesce with the historic counter charges; no-op for kNone.
-std::uint64_t coalesce_with_counters(std::vector<VertexUpdate>& bin,
-                                     const UpdateExchangeOptions& options,
-                                     std::uint64_t record_bytes,
-                                     ExchangeCounters& counters) {
-  if (options.combine == UpdateCombine::kNone) return 0;
-  counters.uniquify_vertices += bin.size();
-  counters.uniquify_bytes += bin.size() * record_bytes;
-  const std::uint64_t removed =
-      coalesce_bin(bin, options.combine, options.lane_value_bits);
-  counters.duplicates_removed += removed;
-  return removed;
-}
+// ---- wire codecs ----------------------------------------------------------
+// One codec per record type owns its wire format end to end: the per-bin
+// coalesce and its counters, whether forwarding hops may merge segments
+// from several origins, encode/decode, and `peek`, which reads only a
+// payload's headers.  Logical bytes follow the historic counting rules
+// (4 B per id, record_bytes per raw update, the encoded byte count when
+// encoded; flag and count words are not counted).  The flat exchange and
+// the multi-hop router are templates over the codec.
 
-struct EncodedBin {
+struct Encoded {
   std::vector<std::uint64_t> words;
-  /// Logical payload bytes by the historic counting rules (encoded byte
-  /// count when compressed, records * record_bytes raw; the adaptive flag
-  /// word is not counted, matching the flat exchange).
-  std::uint64_t payload_bytes = 0;
+  std::uint64_t bytes = 0;  // logical payload bytes
 };
 
-/// Encode one (already coalesced) update bin exactly like the flat
-/// exchange: raw pairs, delta+varint, or the adaptive raw-vs-encoded choice
-/// behind a flag word.  Charges the encode/adaptive counters.  Shared by
-/// the flat path and the per-hop re-encoders of the multi-hop topologies so
-/// the wire format cannot drift between them.
-EncodedBin encode_update_payload(const std::vector<VertexUpdate>& bin,
-                                 const UpdateExchangeOptions& options,
-                                 std::uint64_t record_bytes,
-                                 ExchangeCounters& counters) {
-  EncodedBin out;
-  if (options.compress && options.adaptive) {
-    // Trial-encode, ship whichever representation is smaller; a one-word
-    // header flags the choice for the receiver.  The encode kernel ran
-    // either way, so it is charged either way.
-    counters.encode_bytes += bin.size() * record_bytes;
-    const std::uint64_t raw_bytes = bin.size() * record_bytes;
-    std::vector<std::uint64_t> body =
-        options.gorilla ? pack_updates_gorilla(bin)
-                        : pack_updates_compressed(bin, options.value_bias);
-    const bool encoded_wins = body[1] < raw_bytes;
-    if (encoded_wins) {
-      out.payload_bytes = body[1];
-    } else {
-      out.payload_bytes = raw_bytes;
-      body = pack_updates_raw(bin);
-    }
-    if (!bin.empty()) {
-      ++(encoded_wins ? counters.bins_compressed : counters.bins_raw);
-    }
-    out.words.reserve(body.size() + 1);
-    out.words.push_back(encoded_wins ? 1 : 0);
-    out.words.insert(out.words.end(), body.begin(), body.end());
-  } else if (options.compress) {
-    counters.encode_bytes += bin.size() * record_bytes;
-    out.words = options.gorilla
-                    ? pack_updates_gorilla(bin)
-                    : pack_updates_compressed(bin, options.value_bias);
-    out.payload_bytes = out.words[1];  // encoded byte count
-  } else {
-    out.words = pack_updates_raw(bin);
-    out.payload_bytes = bin.size() * record_bytes;
-  }
-  return out;
-}
+struct PayloadSize {
+  std::uint64_t records = 0;
+  std::uint64_t bytes = 0;  // logical payload bytes
+};
 
-/// Decode one update payload (with the adaptive flag word when the options
-/// call for it); appends to `out` and returns the logical payload bytes by
-/// the historic counting rules.
-std::uint64_t decode_update_payload(std::span<const std::uint64_t> body,
-                                    const UpdateExchangeOptions& options,
-                                    std::uint64_t record_bytes,
-                                    std::vector<VertexUpdate>& out) {
-  bool encoded = options.compress;
-  if (options.compress && options.adaptive) {
+/// The bare-id wire (paper Section V-B): pack_ids payloads, with the U
+/// option's uniquify as the coalesce.  Cross-source merging is uniquify
+/// too, so it only runs when the caller asked for uniquify.
+class IdCodec {
+ public:
+  using Record = LocalId;
+
+  explicit IdCodec(bool uniquify) : uniquify_(uniquify) {}
+
+  bool mergeable() const { return uniquify_; }
+
+  void coalesce(std::vector<LocalId>& bin, ExchangeCounters& c) const {
+    if (!uniquify_) return;
+    const std::size_t before = bin.size();
+    c.uniquify_vertices += before;
+    c.uniquify_bytes += before * 4;
+    std::sort(bin.begin(), bin.end());
+    bin.erase(std::unique(bin.begin(), bin.end()), bin.end());
+    c.duplicates_removed += before - bin.size();
+  }
+
+  Encoded encode(const std::vector<LocalId>& bin, ExchangeCounters&) const {
+    return {pack_ids(bin), bin.size() * 4};
+  }
+
+  std::uint64_t decode(std::span<const std::uint64_t> words,
+                       std::vector<LocalId>& out) const {
+    std::size_t pos = 0;
+    decode_ids(words, pos, out);
+    if (pos != words.size()) {
+      throw DecodeError("id payload has trailing words");
+    }
+    return words[0] * 4;
+  }
+
+  PayloadSize peek(std::span<const std::uint64_t> words) const {
+    const std::uint64_t count = words.empty() ? 0 : words[0];
+    return {count, count * 4};
+  }
+
+ private:
+  bool uniquify_;
+};
+
+/// The value-update wire: raw (id, value) pairs, delta+varint or Gorilla,
+/// and adaptive as a per-bin choice between raw and the encoded form
+/// behind a one-word flag.  Cross-source merging runs only for the
+/// order-insensitive combines -- kSumDouble's IEEE addition is not
+/// associative and kNone promises every candidate, so those forward
+/// per-source segments intact.
+class UpdateCodec {
+ public:
+  using Record = VertexUpdate;
+
+  explicit UpdateCodec(const UpdateExchangeOptions& options)
+      : combine_(options.combine),
+        lane_value_bits_(options.lane_value_bits),
+        // 4-byte id + the value field: value_bytes = 8 is the historic
+        // (id, 64-bit value) record; lane-word senders narrow it to their
+        // batch width (0 at W = 1, the id exchange's bare 4-byte id).
+        record_bytes_(4 + static_cast<std::uint64_t>(options.value_bytes)),
+        encoding_(!options.compress ? Encoding::kRaw
+                  : options.gorilla ? Encoding::kGorilla
+                                    : Encoding::kVarint),
+        adaptive_(options.adaptive),
+        value_bias_(options.value_bias) {
+    validate(options);
+  }
+
+  bool mergeable() const {
+    return combine_ == UpdateCombine::kMin || combine_ == UpdateCombine::kOr ||
+           combine_ == UpdateCombine::kLaneMin ||
+           combine_ == UpdateCombine::kLaneSum;
+  }
+
+  void coalesce(std::vector<VertexUpdate>& bin, ExchangeCounters& c) const {
+    if (combine_ == UpdateCombine::kNone) return;
+    const std::size_t before = bin.size();
+    c.uniquify_vertices += before;
+    c.uniquify_bytes += before * record_bytes_;
+    coalesce_bin(bin, combine_, lane_value_bits_);
+    c.duplicates_removed += before - bin.size();
+  }
+
+  Encoded encode(const std::vector<VertexUpdate>& bin,
+                 ExchangeCounters& c) const {
+    const std::uint64_t raw_bytes = bin.size() * record_bytes_;
+    if (encoding_ == Encoding::kRaw) return {pack_updates_raw(bin), raw_bytes};
+    // The encode kernel runs either way, so it is charged either way.
+    c.encode_bytes += raw_bytes;
+    Encoded out;
+    out.words = encoding_ == Encoding::kGorilla
+                    ? pack_updates_gorilla(bin)
+                    : pack_updates_compressed(bin, value_bias_);
+    out.bytes = out.words[1];  // encoded byte count
+    if (!adaptive_) return out;
+    // Trial encode: ship whichever representation is smaller.
+    const bool encoded_wins = out.bytes < raw_bytes;
+    if (!encoded_wins) out = {pack_updates_raw(bin), raw_bytes};
+    if (!bin.empty()) ++(encoded_wins ? c.bins_compressed : c.bins_raw);
+    std::vector<std::uint64_t> flagged;
+    flagged.reserve(out.words.size() + 1);
+    flagged.push_back(encoded_wins ? 1 : 0);
+    flagged.insert(flagged.end(), out.words.begin(), out.words.end());
+    out.words = std::move(flagged);
+    return out;
+  }
+
+  std::uint64_t decode(std::span<const std::uint64_t> words,
+                       std::vector<VertexUpdate>& out) const {
+    const auto [encoded, body] = split_flag(words);
+    if (!encoded) {
+      const std::size_t before = out.size();
+      decode_updates_raw(body, out);
+      return (out.size() - before) * record_bytes_;
+    }
+    if (encoding_ == Encoding::kGorilla) {
+      decode_updates_gorilla(body, out);
+    } else {
+      decode_updates_compressed(body, value_bias_, out);
+    }
+    return body[1];  // validated encoded byte count
+  }
+
+  PayloadSize peek(std::span<const std::uint64_t> words) const {
+    const auto [encoded, body] = split_flag(words);
     if (body.empty()) {
+      throw DecodeError("update payload missing its count header");
+    }
+    if (!encoded) return {body[0], body[0] * record_bytes_};
+    if (body.size() < 2) {
+      throw DecodeError("encoded update payload missing its byte count");
+    }
+    return {body[0], body[1]};
+  }
+
+ private:
+  enum class Encoding { kRaw, kVarint, kGorilla };
+
+  struct Split {
+    bool encoded;
+    std::span<const std::uint64_t> body;
+  };
+
+  /// Whether a payload is encoded, and its body past the adaptive flag
+  /// word -- the one place that flag is parsed.
+  Split split_flag(std::span<const std::uint64_t> words) const {
+    if (!adaptive_) return {encoding_ != Encoding::kRaw, words};
+    if (words.empty()) {
       throw DecodeError("adaptive update payload missing its flag word");
     }
-    if (body[0] > 1) {
+    if (words[0] > 1) {
       throw DecodeError("adaptive update payload has an invalid flag word");
     }
-    encoded = body[0] == 1;
-    body = body.subspan(1);
+    return {words[0] == 1, words.subspan(1)};
   }
-  const std::size_t before = out.size();
-  if (encoded && options.gorilla) {
-    decode_updates_gorilla(body, out);
-  } else if (encoded) {
-    decode_updates_compressed(body, options.value_bias, out);
-  } else {
-    decode_updates_raw(body, out);
+
+  UpdateCombine combine_;
+  int lane_value_bits_;
+  std::uint64_t record_bytes_;
+  Encoding encoding_;
+  bool adaptive_;
+  std::uint64_t value_bias_;
+};
+
+// ---- framed link ----------------------------------------------------------
+
+/// One GPU's end of the hardened wire for one exchange call.  Every message
+/// of the id and update exchanges goes through it.  On a lossy transport it
+/// checksums and frames each send and runs the NACK/retransmit receive
+/// loop; on a clean one both are plain transport calls.  It also charges
+/// the byte counters, so the frame overhead is added in one place.
+class FramedLink {
+ public:
+  FramedLink(Transport& transport, int me, const sim::RetryPolicy& retry,
+             ExchangeCounters& counters)
+      : transport_(transport), me_(me), retry_(retry), counters_(counters) {}
+
+  /// Send `words` to GPU `to`, charging `bytes` of logical payload to the
+  /// cross-rank send counter when `remote`, else to local_bytes.
+  void send(int to, int tag, std::vector<std::uint64_t> words,
+            std::uint64_t bytes, bool remote) {
+    if (remote) {
+      counters_.send_bytes_remote += on_wire(bytes);
+      ++counters_.send_dest_ranks;
+    } else {
+      counters_.local_bytes += on_wire(bytes);
+    }
+    if (transport_.lossy()) {
+      counters_.checksum_bytes += words.size() * sizeof(std::uint64_t);
+      words = frame_payload(std::move(words));
+    }
+    transport_.send(me_, to, tag, std::move(words));
   }
-  // body[1] is the validated encoded byte count; raw records are
-  // record_bytes each.
-  return encoded ? body[1] : (out.size() - before) * record_bytes;
-}
 
-// ---- hardened wire helpers ------------------------------------------------
+  /// Charge a cross-rank receive of `bytes` logical payload bytes.
+  void charge_recv(std::uint64_t bytes) {
+    counters_.recv_bytes_remote += on_wire(bytes);
+  }
 
-/// Checksum + frame an outbound payload on a lossy transport; pass-through
-/// (and zero extra work) on a clean one.
-std::vector<std::uint64_t> maybe_frame(const Transport& transport,
-                                       std::vector<std::uint64_t> payload,
-                                       ExchangeCounters& counters) {
-  if (!transport.lossy()) return payload;
-  counters.checksum_bytes += payload.size() * sizeof(std::uint64_t);
-  return frame_payload(std::move(payload));
-}
-
-/// Reliable receive on link (from -> to, tag).  Clean transport: a plain
-/// recv.  Lossy transport: receive frames until one verifies, treating a
-/// lost tombstone as the modeled receive timeout and a framing/checksum
-/// failure as a NACK; each failure charges the current retry window to
-/// recovery_ns, widens it by the backoff factor (capped), and requests a
-/// retransmission of the retained pristine copy.  Throws TransportError
-/// when the retry budget is exhausted.
-std::vector<std::uint64_t> recv_reliable(Transport& transport, int to,
-                                         int from, int tag,
-                                         const sim::RetryPolicy& retry,
-                                         ExchangeCounters& counters) {
-  if (!transport.lossy()) return transport.recv(to, from, tag);
-  std::uint64_t window = retry.timeout_ns;
-  const int max_attempts = std::max(1, retry.max_attempts);
-  for (int attempt = 1;; ++attempt) {
-    Message m = transport.recv_message(to, from, tag);
-    // A delayed-but-intact frame still costs its hold-back.
-    if (m.delay_ns > 0) counters.recovery_ns += m.delay_ns;
-    if (!m.lost) {
-      if (m.words.size() > 2) {
-        counters.checksum_bytes +=
-            (m.words.size() - 2) * sizeof(std::uint64_t);
-      }
-      bool accepted = false;
-      try {
-        verify_frame(m.words);
-        accepted = true;
-      } catch (const DecodeError&) {
-        ++counters.corrupt_bins;
-      }
-      if (accepted) {
-        // Drain duplicate copies already queued on this link; a duplicated
-        // attempt enqueues both copies atomically, so none can trail in,
-        // and each logical frame owns its (from, to, tag) triple outright.
-        while (transport.probe(to, from, tag)) {
-          transport.recv_message(to, from, tag);
+  /// Reliable receive on link (from -> me, tag).  Clean transport: a plain
+  /// recv.  Lossy transport: receive frames until one verifies, treating a
+  /// lost tombstone as the modeled receive timeout and a framing/checksum
+  /// failure as a NACK; each failure charges the current retry window to
+  /// recovery_ns, widens it by the backoff factor (capped), and requests a
+  /// retransmission of the retained pristine copy.  Throws TransportError
+  /// when the retry budget is exhausted.
+  std::vector<std::uint64_t> recv(int from, int tag) {
+    if (!transport_.lossy()) return transport_.recv(me_, from, tag);
+    std::uint64_t window = retry_.timeout_ns;
+    const int max_attempts = std::max(1, retry_.max_attempts);
+    for (int attempt = 1;; ++attempt) {
+      Message m = transport_.recv_message(me_, from, tag);
+      // A delayed-but-intact frame still costs its hold-back.
+      if (m.delay_ns > 0) counters_.recovery_ns += m.delay_ns;
+      if (!m.lost) {
+        if (m.words.size() > 2) {
+          counters_.checksum_bytes +=
+              (m.words.size() - 2) * sizeof(std::uint64_t);
         }
-        m.words.erase(m.words.begin(), m.words.begin() + 2);
-        return std::move(m.words);
+        try {
+          verify_frame(m.words);
+          // Drain duplicate copies already queued on this link; a duplicated
+          // attempt enqueues both copies atomically, so none can trail in,
+          // and each logical frame owns its (from, to, tag) triple outright.
+          while (transport_.probe(me_, from, tag)) {
+            transport_.recv_message(me_, from, tag);
+          }
+          m.words.erase(m.words.begin(), m.words.begin() + 2);
+          return std::move(m.words);
+        } catch (const DecodeError&) {
+          ++counters_.corrupt_bins;
+        }
+      }
+      // Lost (detected at the modeled timeout) or rejected by its checksum:
+      // charge the wait, then ask the sender for the retained copy.
+      counters_.recovery_ns += window;
+      window = std::min<std::uint64_t>(
+          retry_.max_backoff_ns,
+          static_cast<std::uint64_t>(static_cast<double>(window) *
+                                     retry_.backoff));
+      const auto link = [&] {
+        return "(from=" + std::to_string(from) + ", to=" +
+               std::to_string(me_) + ", tag=" + std::to_string(tag) + ")";
+      };
+      if (attempt >= max_attempts) {
+        throw TransportError(
+            "hardened exchange: retry budget exhausted on link " + link() +
+            " after " + std::to_string(max_attempts) + " attempts");
+      }
+      ++counters_.retries;
+      if (!transport_.retransmit(from, me_, tag)) {
+        throw TransportError(
+            "hardened exchange: no retained frame to retransmit on link " +
+            link());
       }
     }
-    // Lost (detected at the modeled timeout) or rejected by its checksum:
-    // charge the wait, then ask the sender for the retained copy.
-    counters.recovery_ns += window;
-    window = std::min<std::uint64_t>(
-        retry.max_backoff_ns,
-        static_cast<std::uint64_t>(static_cast<double>(window) *
-                                   retry.backoff));
-    if (attempt >= max_attempts) {
-      throw TransportError(
-          "hardened exchange: retry budget exhausted on link (from=" +
-          std::to_string(from) + ", to=" + std::to_string(to) +
-          ", tag=" + std::to_string(tag) + ") after " +
-          std::to_string(max_attempts) + " attempts");
-    }
-    ++counters.retries;
-    if (!transport.retransmit(from, to, tag)) {
-      throw TransportError(
-          "hardened exchange: no retained frame to retransmit on link "
-          "(from=" +
-          std::to_string(from) + ", to=" + std::to_string(to) +
-          ", tag=" + std::to_string(tag) + ")");
-    }
   }
+
+ private:
+  /// Logical bytes plus the 16-byte frame, which exists only on a lossy
+  /// transport.
+  std::uint64_t on_wire(std::uint64_t bytes) const {
+    return bytes + (transport_.lossy() ? kFrameOverheadBytes : 0);
+  }
+
+  Transport& transport_;
+  int me_;
+  const sim::RetryPolicy& retry_;
+  ExchangeCounters& counters_;
+};
+
+// ---- flat exchange --------------------------------------------------------
+
+/// One point-to-point all-to-all round among `peers` (global GPU ids;
+/// `bins[i]` is bound for `peers[i]`, and the entry that is this GPU is the
+/// loopback bin, which never hits a wire and is left to the receiver's
+/// fold).  Every other bin is coalesced, encoded and sent; the result is
+/// the loopback bin followed by every peer's payload in peer order.  Bins
+/// are consumed.
+template <class Codec>
+std::vector<typename Codec::Record> flat_exchange(
+    FramedLink& link, const sim::ClusterSpec& spec, sim::GpuCoord me,
+    std::span<const int> peers,
+    std::vector<std::vector<typename Codec::Record>>& bins, int tag,
+    const Codec& codec, ExchangeCounters& counters) {
+  const int me_global = spec.global_gpu(me);
+  const auto remote = [&](int g) { return spec.coord_of(g).rank != me.rank; };
+  std::vector<typename Codec::Record> received;
+  for (std::size_t i = 0; i < peers.size(); ++i) {
+    auto& bin = bins[i];
+    if (peers[i] == me_global) {
+      received = std::move(bin);
+    } else {
+      codec.coalesce(bin, counters);
+      Encoded e = codec.encode(bin, counters);
+      link.send(peers[i], tag, std::move(e.words), e.bytes, remote(peers[i]));
+    }
+    bin.clear();
+  }
+  for (const int g : peers) {
+    if (g == me_global) continue;
+    const std::uint64_t bytes = codec.decode(link.recv(g, tag), received);
+    if (remote(g)) link.charge_recv(bytes);
+  }
+  return received;
 }
 
 // ---- multi-hop (hierarchical / butterfly) routing -------------------------
 // Messages between GPUs carry *segments*: per-destination payloads in the
-// flat exchange's own bin encodings, prefixed with a routing header.  Wire
-// layout: [segment_count] then per segment [dest_gpu | (src_gpu << 32)]
+// codec's bin encoding, prefixed with a routing header.  Wire layout:
+// [segment_count] then per segment [dest_gpu | (src_gpu << 32)]
 // [payload_word_count] [payload words].  src = kMergedSrc marks a segment
 // re-coalesced across several origins at a forwarding hop (only done for
-// order-insensitive combines); per-source segments keep their origin so the
-// final receiver can reproduce the flat exchange's source-ordered fold.
+// mergeable codecs); per-source segments keep their origin so the final
+// receiver can reproduce the flat exchange's source-ordered fold.
 
 constexpr std::uint32_t kMergedSrc = 0xffffffffu;
 
@@ -493,169 +696,37 @@ std::vector<Segment> unpack_segments(std::span<const std::uint64_t> words,
   return segs;
 }
 
-/// Record-type plumbing of the multi-hop router for the bare-id exchange.
-/// Segment payloads are pack_ids format; cross-source merging is the U
-/// option's uniquify, so it only runs when the caller asked for uniquify.
-struct IdHopTraits {
-  using Record = LocalId;
-  const ExchangeOptions& opt;
-
-  bool mergeable() const { return opt.uniquify; }
-
-  std::vector<std::uint64_t> encode_origin(std::vector<LocalId>& bin,
-                                           ExchangeCounters& c) const {
-    if (opt.uniquify) {
-      c.uniquify_vertices += bin.size();
-      c.uniquify_bytes += bin.size() * 4;
-      c.duplicates_removed += uniquify_bin(bin);
-    }
-    return pack_ids(bin);
+/// Records and wire bytes of one hop message by the historic counting
+/// rules: an 8-byte segment-count word plus, per segment, 16 bytes of
+/// routing header and the codec's logical payload bytes.  The headers are
+/// counted because they are the real price of aggregation; the frame
+/// overhead is the link's to charge, like on the flat path.
+template <class Codec>
+PayloadSize message_size(const std::vector<Segment>& segs,
+                         const Codec& codec) {
+  PayloadSize size{0, 8};
+  for (const Segment& s : segs) {
+    const PayloadSize p = codec.peek(s.words);
+    size.records += p.records;
+    size.bytes += 16 + p.bytes;
   }
-
-  std::uint64_t merge_records(std::vector<LocalId>& recs,
-                              ExchangeCounters& c) const {
-    c.uniquify_vertices += recs.size();
-    c.uniquify_bytes += recs.size() * 4;
-    const std::uint64_t removed = uniquify_bin(recs);
-    c.duplicates_removed += removed;
-    return removed;
-  }
-
-  std::vector<std::uint64_t> encode_records(const std::vector<LocalId>& recs,
-                                            ExchangeCounters&) const {
-    return pack_ids(recs);
-  }
-
-  void decode(std::span<const std::uint64_t> words,
-              std::vector<LocalId>& out) const {
-    std::size_t pos = 0;
-    decode_ids(words, pos, out);
-    if (pos != words.size()) {
-      throw DecodeError("id segment has trailing words");
-    }
-  }
-
-  std::uint64_t record_count(const std::vector<std::uint64_t>& words) const {
-    return words.empty() ? 0 : words[0];
-  }
-
-  std::uint64_t logical_bytes(const std::vector<std::uint64_t>& words) const {
-    return record_count(words) * 4;
-  }
-};
-
-/// Record-type plumbing for the value-update exchange.  Segment payloads
-/// are the flat exchange's raw/compressed/adaptive bin encodings;
-/// cross-source merging runs only for the order-insensitive combines
-/// (kMin, kOr) -- kSumDouble's IEEE addition is not associative and kNone
-/// promises every candidate, so those forward per-source segments intact.
-struct UpdateHopTraits {
-  using Record = VertexUpdate;
-  const UpdateExchangeOptions& opt;
-  std::uint64_t record_bytes;
-
-  bool mergeable() const {
-    return opt.combine == UpdateCombine::kMin ||
-           opt.combine == UpdateCombine::kOr ||
-           opt.combine == UpdateCombine::kLaneMin ||
-           opt.combine == UpdateCombine::kLaneSum;
-  }
-
-  std::vector<std::uint64_t> encode_origin(std::vector<VertexUpdate>& bin,
-                                           ExchangeCounters& c) const {
-    coalesce_with_counters(bin, opt, record_bytes, c);
-    return encode_update_payload(bin, opt, record_bytes, c).words;
-  }
-
-  std::uint64_t merge_records(std::vector<VertexUpdate>& recs,
-                              ExchangeCounters& c) const {
-    return coalesce_with_counters(recs, opt, record_bytes, c);
-  }
-
-  std::vector<std::uint64_t> encode_records(
-      const std::vector<VertexUpdate>& recs, ExchangeCounters& c) const {
-    return encode_update_payload(recs, opt, record_bytes, c).words;
-  }
-
-  void decode(std::span<const std::uint64_t> words,
-              std::vector<VertexUpdate>& out) const {
-    decode_update_payload(words, opt, record_bytes, out);
-  }
-
-  std::uint64_t record_count(const std::vector<std::uint64_t>& words) const {
-    if (opt.compress && opt.adaptive) {
-      if (words.size() < 2) {
-        throw DecodeError("adaptive update segment shorter than its headers");
-      }
-      return words[1];
-    }
-    if (words.empty()) {
-      throw DecodeError("update segment missing its count header");
-    }
-    return words[0];
-  }
-
-  std::uint64_t logical_bytes(const std::vector<std::uint64_t>& words) const {
-    if (opt.compress && opt.adaptive) {
-      if (words.size() < 2) {
-        throw DecodeError("adaptive update segment shorter than its headers");
-      }
-      if (words[0] == 1) {
-        if (words.size() < 3) {
-          throw DecodeError("compressed update segment missing its headers");
-        }
-        return words[2];  // encoded byte count
-      }
-      return words[1] * record_bytes;
-    }
-    if (opt.compress) {
-      if (words.size() < 2) {
-        throw DecodeError("compressed update segment missing its headers");
-      }
-      return words[1];
-    }
-    if (words.empty()) {
-      throw DecodeError("update segment missing its count header");
-    }
-    return words[0] * record_bytes;
-  }
-};
-
-/// Wire bytes of one hop message by the historic counting rules: an 8-byte
-/// segment-count word plus, per segment, 16 bytes of routing header and the
-/// flat exchange's logical payload bytes.  The headers are counted because
-/// they are the real price of aggregation; the lossy-transport frame
-/// overhead is charged to the legacy counters separately, like flat does.
-template <class Traits>
-std::uint64_t message_logical_bytes(const std::vector<Segment>& segs,
-                                    const Traits& traits) {
-  std::uint64_t bytes = 8;
-  for (const Segment& s : segs) bytes += 16 + traits.logical_bytes(s.words);
-  return bytes;
-}
-
-template <class Traits>
-std::uint64_t message_records(const std::vector<Segment>& segs,
-                              const Traits& traits) {
-  std::uint64_t records = 0;
-  for (const Segment& s : segs) records += traits.record_count(s.words);
-  return records;
+  return size;
 }
 
 /// Re-bin a hop's outgoing segments: deterministic (dest, src) order, and
-/// -- when the combine is order-insensitive -- decode + re-coalesce +
-/// re-encode each multi-segment destination group into one merged segment.
-/// This is the per-hop reapplication of the uniquify/compress machinery;
-/// the coalesce/encode kernels are charged to the same counters the origin
+/// -- when the codec is mergeable -- decode + re-coalesce + re-encode each
+/// multi-segment destination group into one merged segment.  This is the
+/// per-hop reapplication of the uniquify/compress machinery; the
+/// coalesce/encode kernels are charged to the same counters the origin
 /// pass uses, because the work really reruns on the forwarding GPU.
-template <class Traits>
-void rebin_segments(std::vector<Segment>& segs, const Traits& traits,
+template <class Codec>
+void rebin_segments(std::vector<Segment>& segs, const Codec& codec,
                     sim::HopCounters& hop, ExchangeCounters& counters) {
   std::stable_sort(segs.begin(), segs.end(),
                    [](const Segment& a, const Segment& b) {
                      return a.dest != b.dest ? a.dest < b.dest : a.src < b.src;
                    });
-  if (!traits.mergeable()) return;
+  if (!codec.mergeable()) return;
   std::vector<Segment> out;
   out.reserve(segs.size());
   for (std::size_t i = 0; i < segs.size();) {
@@ -664,18 +735,13 @@ void rebin_segments(std::vector<Segment>& segs, const Traits& traits,
     if (j == i + 1) {
       out.push_back(std::move(segs[i]));  // already coalesced upstream
     } else {
-      std::vector<typename Traits::Record> recs;
-      for (std::size_t k = i; k < j; ++k) {
-        traits.decode(segs[k].words, recs);
-      }
+      std::vector<typename Codec::Record> recs;
+      for (std::size_t k = i; k < j; ++k) codec.decode(segs[k].words, recs);
       const std::uint64_t before = recs.size();
-      traits.merge_records(recs, counters);
+      codec.coalesce(recs, counters);
       hop.merged += before - recs.size();
-      Segment merged;
-      merged.dest = segs[i].dest;
-      merged.src = kMergedSrc;
-      merged.words = traits.encode_records(recs, counters);
-      out.push_back(std::move(merged));
+      out.push_back(Segment{segs[i].dest, kMergedSrc,
+                            codec.encode(recs, counters).words});
     }
     i = j;
   }
@@ -683,7 +749,7 @@ void rebin_segments(std::vector<Segment>& segs, const Traits& traits,
 }
 
 /// The multi-hop exchange engine shared by the id and update exchanges.
-///
+/// Every hop moves each segment one step along its path:
 /// Hop 0 (NVLink): every GPU sends one message to each same-node peer
 /// carrying the segments destined to that peer plus -- when the peer is the
 /// node leader -- all segments bound for other nodes (the gather).  Tag
@@ -691,27 +757,25 @@ void rebin_segments(std::vector<Segment>& segs, const Traits& traits,
 /// Inter-node hops (IB, leaders only, tag bases kTagExchangeRemote + h):
 /// hierarchical sends one aggregated message per other node (1 hop,
 /// nodes - 1 partners); butterfly sends exactly one message per hop to the
-/// partner leader node XOR (1 << h) (log2(nodes) hops, 1 partner each),
-/// re-binning the pool every hop.
+/// partner leader node XOR (1 << h) (log2(nodes) hops, 1 partner each).
 /// Final hop (NVLink): leaders scatter inbound segments to their same-node
 /// destinations.  Tag base kTagExchangeLocal + 1.
-/// All tags sit in the faultable window, so the hardened wire's
-/// NACK/retransmit protects each link of each hop independently (hop-local
-/// recovery, never end-to-end).
-template <class Traits>
-std::vector<typename Traits::Record> multi_hop_exchange(
-    Transport& transport, const sim::ClusterSpec& spec, sim::GpuCoord me,
-    std::vector<std::vector<typename Traits::Record>>& bins, int iteration,
-    sim::ExchangeTopology topology, const sim::RetryPolicy& retry,
-    const Traits& traits, ExchangeCounters& counters) {
+/// Every message but hop 0's is re-binned before it leaves.  All tags sit
+/// in the faultable window, so the hardened wire's NACK/retransmit protects
+/// each link of each hop independently (hop-local recovery, never
+/// end-to-end).
+template <class Codec>
+std::vector<typename Codec::Record> multi_hop_exchange(
+    FramedLink& link, const sim::ClusterSpec& spec, sim::GpuCoord me,
+    std::vector<std::vector<typename Codec::Record>>& bins, int iteration,
+    sim::ExchangeTopology topology, const Codec& codec,
+    ExchangeCounters& counters) {
   const int p = spec.total_gpus();
   const int me_global = spec.global_gpu(me);
   const int nodes = spec.num_nodes();
   const int my_node = spec.node_of(me_global);
   const int leader = spec.node_leader(my_node);
   const bool is_leader = me_global == leader;
-  const int gpn = spec.gpus_per_node(my_node);
-  const bool lossy = transport.lossy();
   const bool butterfly = topology == sim::ExchangeTopology::kButterfly;
 
   int inter_hops = 0;
@@ -727,224 +791,114 @@ std::vector<typename Traits::Record> multi_hop_exchange(
       inter_hops = 1;
     }
   }
-  const int tag_gather = kTagExchangeLocal + iteration * kTagBlock;
-  const int tag_scatter = kTagExchangeLocal + 1 + iteration * kTagBlock;
-  const auto tag_inter = [iteration](int h) {
-    return kTagExchangeRemote + h + iteration * kTagBlock;
-  };
-
   // One entry per hop for every GPU of the round, leaders or not, so the
   // hop trace has identical shape across the cluster (the perf model's
   // bulk-synchronous replay and the golden tests rely on this).
   std::vector<sim::HopCounters> hops(
       static_cast<std::size_t>(1 + inter_hops + (inter_hops > 0 ? 1 : 0)));
-  for (std::size_t h = 0; h < hops.size(); ++h) {
-    hops[h].hop = static_cast<int>(h);
-    hops[h].internode = h >= 1 && h <= static_cast<std::size_t>(inter_hops);
-  }
+  const int last = static_cast<int>(hops.size()) - 1;
 
-  const auto charge_send = [&](sim::HopCounters& hop,
-                               const std::vector<Segment>& segs) {
-    const std::uint64_t bytes = message_logical_bytes(segs, traits);
-    hop.send_bytes += bytes;
-    ++hop.partners;
-    hop.bins += static_cast<int>(segs.size());
-    hop.records += message_records(segs, traits);
-    if (hop.internode) {
-      counters.send_bytes_remote += bytes + (lossy ? kFrameOverheadBytes : 0);
-      ++counters.send_dest_ranks;
-    } else {
-      counters.local_bytes += bytes + (lossy ? kFrameOverheadBytes : 0);
-    }
-    return bytes;
-  };
-  const auto charge_recv = [&](sim::HopCounters& hop,
-                               const std::vector<Segment>& segs) {
-    const std::uint64_t bytes = message_logical_bytes(segs, traits);
-    hop.recv_bytes += bytes;
-    if (hop.internode) {
-      counters.recv_bytes_remote += bytes + (lossy ? kFrameOverheadBytes : 0);
-    }
-  };
+  std::vector<int> peers;  // same-node GPUs but me
+  for (int j = 0; j < spec.gpus_per_node(my_node); ++j) {
+    if (leader + j != me_global) peers.push_back(leader + j);
+  }
+  std::vector<int> leaders;  // hierarchical partners: every other leader
+  for (int m = 0; m < nodes; ++m) {
+    if (m != my_node) leaders.push_back(spec.node_leader(m));
+  }
 
   // ---- origin: encode every bin once, exactly like the flat sender ------
-  for (const auto& bin : bins) counters.bin_vertices += bin.size();
-  std::vector<typename Traits::Record> received =
+  std::vector<typename Codec::Record> received =
       std::move(bins[static_cast<std::size_t>(me_global)]);
   bins[static_cast<std::size_t>(me_global)].clear();
-
   std::vector<Segment> inbox;  // segments for me, tagged with their origin
-  std::vector<Segment> pool;   // leader only: segments bound for other nodes
-  std::vector<std::vector<Segment>> to_peer(static_cast<std::size_t>(gpn));
+  std::vector<Segment> held;   // segments waiting here for their next hop
   for (int dest = 0; dest < p; ++dest) {
-    if (dest == me_global) continue;
     auto& bin = bins[static_cast<std::size_t>(dest)];
-    if (bin.empty()) continue;  // aggregation: empty bins ship no segment
-    Segment s;
-    s.dest = static_cast<std::uint32_t>(dest);
-    s.src = static_cast<std::uint32_t>(me_global);
-    s.words = traits.encode_origin(bin, counters);
+    if (dest == me_global || bin.empty()) continue;  // empty: no segment
+    codec.coalesce(bin, counters);
+    held.push_back(Segment{static_cast<std::uint32_t>(dest),
+                           static_cast<std::uint32_t>(me_global),
+                           codec.encode(bin, counters).words});
     bin.clear();
-    if (spec.node_of(dest) == my_node) {
-      to_peer[static_cast<std::size_t>(dest - leader)].push_back(std::move(s));
-    } else if (is_leader) {
-      pool.push_back(std::move(s));
-    } else {
-      to_peer[0].push_back(std::move(s));  // gather onto the leader
-    }
   }
 
-  // ---- hop 0: intra-node distribute + gather -----------------------------
-  for (int j = 0; j < gpn; ++j) {
-    const int peer = leader + j;
-    if (peer == me_global) continue;
-    auto& segs = to_peer[static_cast<std::size_t>(j)];
-    charge_send(hops[0], segs);
-    transport.send(me_global, peer, tag_gather,
-                   maybe_frame(transport, pack_segments(segs), counters));
-    segs.clear();
-  }
-  for (int j = 0; j < gpn; ++j) {
-    const int peer = leader + j;
-    if (peer == me_global) continue;
-    const auto words = recv_reliable(transport, me_global, peer, tag_gather,
-                                     retry, counters);
-    auto segs = unpack_segments(words, p);
-    charge_recv(hops[0], segs);
-    for (Segment& s : segs) {
-      if (s.dest == static_cast<std::uint32_t>(me_global)) {
-        inbox.push_back(std::move(s));
-      } else if (is_leader &&
-                 spec.node_of(static_cast<int>(s.dest)) != my_node) {
-        pool.push_back(std::move(s));
+  for (int h = 0; h <= last; ++h) {
+    sim::HopCounters& hop = hops[static_cast<std::size_t>(h)];
+    hop.hop = h;
+    hop.internode = h >= 1 && h <= inter_hops;
+    std::vector<int> send_to, recv_from;
+    int tag = kTagExchangeLocal;
+    if (h == 0) {
+      send_to = recv_from = peers;
+    } else if (h == last) {
+      tag = kTagExchangeLocal + 1;
+      if (is_leader) {
+        send_to = peers;
       } else {
-        throw DecodeError("hop 0 segment routed to a non-forwarding GPU");
-      }
-    }
-  }
-
-  // ---- inter-node hops (leaders only; everyone keeps the hop entries) ----
-  std::vector<Segment> scatter_pool;  // segments for my node's other GPUs
-  const auto stage_home = [&](Segment&& s) {
-    if (s.dest == static_cast<std::uint32_t>(me_global)) {
-      inbox.push_back(std::move(s));
-    } else {
-      scatter_pool.push_back(std::move(s));
-    }
-  };
-  if (nodes > 1 && is_leader) {
-    if (!butterfly) {
-      // Hierarchical: one aggregated message per other node.
-      std::vector<std::vector<Segment>> per_node(
-          static_cast<std::size_t>(nodes));
-      for (Segment& s : pool) {
-        per_node[static_cast<std::size_t>(
-                     spec.node_of(static_cast<int>(s.dest)))]
-            .push_back(std::move(s));
-      }
-      pool.clear();
-      for (int m = 0; m < nodes; ++m) {
-        if (m == my_node) continue;
-        auto& segs = per_node[static_cast<std::size_t>(m)];
-        rebin_segments(segs, traits, hops[1], counters);
-        charge_send(hops[1], segs);
-        transport.send(me_global, spec.node_leader(m), tag_inter(0),
-                       maybe_frame(transport, pack_segments(segs), counters));
-        segs.clear();
-      }
-      for (int m = 0; m < nodes; ++m) {
-        if (m == my_node) continue;
-        const auto words =
-            recv_reliable(transport, me_global, spec.node_leader(m),
-                          tag_inter(0), retry, counters);
-        auto segs = unpack_segments(words, p);
-        charge_recv(hops[1], segs);
-        for (Segment& s : segs) {
-          if (spec.node_of(static_cast<int>(s.dest)) != my_node) {
-            throw DecodeError("hierarchical segment landed on the wrong node");
-          }
-          stage_home(std::move(s));
-        }
+        recv_from = {leader};
       }
     } else {
-      // Butterfly: hop h fixes bit h of the destination node; the pool
-      // halves toward home every hop and is re-binned before each send.
-      for (int h = 0; h < inter_hops; ++h) {
-        const int partner_node = my_node ^ (1 << h);
-        const int partner = spec.node_leader(partner_node);
-        std::vector<Segment> outgoing;
-        std::vector<Segment> keep;
-        for (Segment& s : pool) {
-          const int dest_node = spec.node_of(static_cast<int>(s.dest));
-          (((dest_node ^ my_node) >> h) & 1 ? outgoing : keep)
-              .push_back(std::move(s));
-        }
-        pool = std::move(keep);
-        rebin_segments(outgoing, traits, hops[static_cast<std::size_t>(1 + h)],
-                       counters);
-        charge_send(hops[static_cast<std::size_t>(1 + h)], outgoing);
-        transport.send(
-            me_global, partner, tag_inter(h),
-            maybe_frame(transport, pack_segments(outgoing), counters));
-        const auto words = recv_reliable(transport, me_global, partner,
-                                         tag_inter(h), retry, counters);
-        auto segs = unpack_segments(words, p);
-        charge_recv(hops[static_cast<std::size_t>(1 + h)], segs);
-        for (Segment& s : segs) {
-          const int dest_node = spec.node_of(static_cast<int>(s.dest));
-          if (((dest_node ^ my_node) & ((1 << (h + 1)) - 1)) != 0) {
-            throw DecodeError("butterfly segment violates its hop invariant");
-          }
-          if (dest_node == my_node) {
-            stage_home(std::move(s));
-          } else {
-            pool.push_back(std::move(s));
-          }
-        }
+      tag = kTagExchangeRemote + h - 1;
+      if (is_leader) {
+        send_to = recv_from =
+            butterfly ? std::vector<int>{spec.node_leader(
+                            my_node ^ (1 << (h - 1)))}
+                      : leaders;
       }
-      // Everything left in the pool is home after the last hop.
-      for (Segment& s : pool) {
-        if (spec.node_of(static_cast<int>(s.dest)) != my_node) {
-          throw DecodeError("butterfly pool not fully routed after last hop");
-        }
-        stage_home(std::move(s));
-      }
-      pool.clear();
     }
-  }
-
-  // ---- final hop: intra-node scatter -------------------------------------
-  if (inter_hops > 0) {
-    sim::HopCounters& hop = hops.back();
-    if (is_leader) {
-      std::vector<std::vector<Segment>> per_gpu(static_cast<std::size_t>(gpn));
-      for (Segment& s : scatter_pool) {
-        per_gpu[static_cast<std::size_t>(static_cast<int>(s.dest) - leader)]
-            .push_back(std::move(s));
+    tag += iteration * kTagBlock;
+    // The next GPU on each held segment's path (me_global: stays here).
+    const auto next_gpu = [&](int dest) {
+      const int dest_node = spec.node_of(dest);
+      if (h == 0) return dest_node == my_node ? dest : leader;
+      if (h == last) return dest;
+      if (!butterfly) return spec.node_leader(dest_node);
+      const int bit = 1 << (h - 1);
+      return (dest_node ^ my_node) & bit ? spec.node_leader(my_node ^ bit)
+                                         : me_global;
+    };
+    std::vector<std::vector<Segment>> out(send_to.size());
+    std::vector<Segment> stay;
+    for (Segment& s : held) {
+      const int next = next_gpu(static_cast<int>(s.dest));
+      if (next == me_global) {
+        stay.push_back(std::move(s));
+        continue;
       }
-      scatter_pool.clear();
-      for (int j = 0; j < gpn; ++j) {
-        const int peer = leader + j;
-        if (peer == me_global) continue;
-        auto& segs = per_gpu[static_cast<std::size_t>(j)];
-        rebin_segments(segs, traits, hop, counters);
-        charge_send(hop, segs);
-        transport.send(me_global, peer, tag_scatter,
-                       maybe_frame(transport, pack_segments(segs), counters));
-        segs.clear();
+      const auto it = std::find(send_to.begin(), send_to.end(), next);
+      if (it == send_to.end()) {
+        throw DecodeError("hop " + std::to_string(h) +
+                          " segment has no route from this GPU");
       }
-    } else {
-      const auto words = recv_reliable(transport, me_global, leader,
-                                       tag_scatter, retry, counters);
-      auto segs = unpack_segments(words, p);
-      charge_recv(hop, segs);
+      out[static_cast<std::size_t>(it - send_to.begin())].push_back(
+          std::move(s));
+    }
+    held = std::move(stay);
+    for (std::size_t i = 0; i < send_to.size(); ++i) {
+      std::vector<Segment>& segs = out[i];
+      if (h > 0) rebin_segments(segs, codec, hop, counters);
+      const PayloadSize size = message_size(segs, codec);
+      hop.send_bytes += size.bytes;
+      ++hop.partners;
+      hop.bins += static_cast<int>(segs.size());
+      hop.records += size.records;
+      link.send(send_to[i], tag, pack_segments(segs), size.bytes,
+                hop.internode);
+    }
+    for (const int from : recv_from) {
+      std::vector<Segment> segs = unpack_segments(link.recv(from, tag), p);
+      const std::uint64_t bytes = message_size(segs, codec).bytes;
+      hop.recv_bytes += bytes;
+      if (hop.internode) link.charge_recv(bytes);
       for (Segment& s : segs) {
-        if (s.dest != static_cast<std::uint32_t>(me_global)) {
-          throw DecodeError("scatter segment missed its destination");
-        }
-        inbox.push_back(std::move(s));
+        (s.dest == static_cast<std::uint32_t>(me_global) ? inbox : held)
+            .push_back(std::move(s));
       }
     }
+  }
+  if (!held.empty()) {
+    throw DecodeError("hop segments left unrouted after the last hop");
   }
 
   // ---- deliver: loopback first, then origin order, merged segments last --
@@ -956,12 +910,44 @@ std::vector<typename Traits::Record> multi_hop_exchange(
                    [](const Segment& a, const Segment& b) {
                      return a.src < b.src;
                    });
-  for (const Segment& s : inbox) traits.decode(s.words, received);
+  for (const Segment& s : inbox) codec.decode(s.words, received);
   counters.hops.insert(counters.hops.end(), hops.begin(), hops.end());
   return received;
 }
 
+/// The whole-cluster exchange of one codec's bins: the flat all-to-all or
+/// the multi-hop router, behind one framed link.
+template <class Codec>
+std::vector<typename Codec::Record> route_exchange(
+    Transport& transport, const sim::ClusterSpec& spec, sim::GpuCoord me,
+    std::vector<std::vector<typename Codec::Record>>& bins, int iteration,
+    sim::ExchangeTopology topology, const sim::RetryPolicy& retry,
+    const Codec& codec, ExchangeCounters& counters) {
+  for (const auto& bin : bins) counters.bin_vertices += bin.size();
+  FramedLink link(transport, spec.global_gpu(me), retry, counters);
+  if (topology != sim::ExchangeTopology::kFlat) {
+    return multi_hop_exchange(link, spec, me, bins, iteration, topology, codec,
+                              counters);
+  }
+  std::vector<int> everyone(static_cast<std::size_t>(spec.total_gpus()));
+  std::iota(everyone.begin(), everyone.end(), 0);
+  return flat_exchange(link, spec, me, everyone, bins,
+                       kTagExchangeRemote + iteration * kTagBlock, codec,
+                       counters);
+}
+
 }  // namespace
+
+void validate(const UpdateExchangeOptions& options) {
+  if ((options.adaptive || options.gorilla) && !options.compress) {
+    throw std::invalid_argument(
+        "update exchange: adaptive and gorilla need compress");
+  }
+  if (options.gorilla && options.value_bias != 0) {
+    throw std::invalid_argument(
+        "update exchange: gorilla takes no value_bias");
+  }
+}
 
 std::uint64_t frame_checksum(std::span<const std::uint64_t> payload) noexcept {
   // Order-sensitive splitmix chain seeded with the length: swapped, moved or
@@ -1050,132 +1036,50 @@ void decode_updates_raw(std::span<const std::uint64_t> words,
 void decode_updates_compressed(std::span<const std::uint64_t> words,
                                std::uint64_t value_bias,
                                std::vector<VertexUpdate>& out) {
-  if (words.size() < 2) {
-    throw DecodeError("compressed update payload missing its 2-word header");
-  }
-  const std::uint64_t count = words[0];
-  const std::uint64_t byte_count = words[1];
-  const std::uint64_t body_words = words.size() - 2;
-  // The byte count must land inside the final word: both a short body and
-  // trailing whole words of garbage are rejected.
-  if (byte_count > body_words * 8 ||
-      (body_words > 0 && byte_count <= (body_words - 1) * 8)) {
-    throw DecodeError("compressed payload length mismatch: " +
-                      std::to_string(byte_count) + " declared bytes vs " +
-                      std::to_string(body_words) + " body words");
-  }
   // Every update encodes to at least two bytes (one per varint).
-  if (count > byte_count / 2) {
-    throw DecodeError("compressed update count " + std::to_string(count) +
-                      " exceeds its " + std::to_string(byte_count) +
-                      "-byte payload");
+  ByteReader r(words, "compressed", 2);
+  out.reserve(out.size() + r.count());
+  for (std::uint64_t i = 0; i < r.count(); ++i) {
+    const LocalId id = r.id();
+    out.push_back(VertexUpdate{id, r.varint() + value_bias});
   }
-  std::size_t pos = 0;
-  // Decode varints straight out of the word buffer (no byte-vector copy).
-  const auto get = [&words, &pos, byte_count] {
-    std::uint64_t v = 0;
-    int shift = 0;
-    while (true) {
-      if (pos >= byte_count) throw DecodeError("varint truncated");
-      if (shift > 63) throw DecodeError("varint wider than 64 bits");
-      const auto b = static_cast<std::uint8_t>(words[2 + pos / 8] >>
-                                               (8 * (pos % 8)));
-      ++pos;
-      v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-      if ((b & 0x80) == 0) return v;
-      shift += 7;
-    }
-  };
-  out.reserve(out.size() + count);
-  std::uint64_t prev = 0;  // unsigned: delta arithmetic wraps mod 2^64
-  for (std::uint64_t i = 0; i < count; ++i) {
-    prev += static_cast<std::uint64_t>(unzigzag(get()));
-    if ((prev >> 32) != 0) {
-      throw DecodeError("decoded vertex id overflows 32 bits");
-    }
-    const std::uint64_t value = get() + value_bias;
-    out.push_back(VertexUpdate{static_cast<LocalId>(prev), value});
-  }
-  if (pos != byte_count) {
-    throw DecodeError("compressed payload has trailing bytes");
-  }
+  r.expect_end();
 }
 
 void decode_updates_gorilla(std::span<const std::uint64_t> words,
                             std::vector<VertexUpdate>& out) {
-  if (words.size() < 2) {
-    throw DecodeError("gorilla update payload missing its 2-word header");
-  }
-  const std::uint64_t count = words[0];
-  const std::uint64_t byte_count = words[1];
-  const std::uint64_t body_words = words.size() - 2;
-  if (byte_count > body_words * 8 ||
-      (body_words > 0 && byte_count <= (body_words - 1) * 8)) {
-    throw DecodeError("gorilla payload length mismatch: " +
-                      std::to_string(byte_count) + " declared bytes vs " +
-                      std::to_string(body_words) + " body words");
-  }
   // Every update needs at least one id byte plus one value bit.
-  if (count > byte_count) {
-    throw DecodeError("gorilla update count " + std::to_string(count) +
-                      " exceeds its " + std::to_string(byte_count) +
-                      "-byte payload");
-  }
-  std::size_t pos = 0;
-  const auto get_varint = [&words, &pos, byte_count] {
-    std::uint64_t v = 0;
-    int shift = 0;
-    while (true) {
-      if (pos >= byte_count) throw DecodeError("varint truncated");
-      if (shift > 63) throw DecodeError("varint wider than 64 bits");
-      const auto b = static_cast<std::uint8_t>(words[2 + pos / 8] >>
-                                               (8 * (pos % 8)));
-      ++pos;
-      v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-      if ((b & 0x80) == 0) return v;
-      shift += 7;
-    }
-  };
+  ByteReader r(words, "gorilla", 1);
   const std::size_t before = out.size();
-  out.reserve(out.size() + count);
-  std::uint64_t prev_id = 0;  // unsigned: delta arithmetic wraps mod 2^64
-  for (std::uint64_t i = 0; i < count; ++i) {
-    prev_id += static_cast<std::uint64_t>(unzigzag(get_varint()));
-    if ((prev_id >> 32) != 0) {
-      throw DecodeError("decoded vertex id overflows 32 bits");
-    }
-    out.push_back(VertexUpdate{static_cast<LocalId>(prev_id), 0});
+  out.reserve(out.size() + r.count());
+  for (std::uint64_t i = 0; i < r.count(); ++i) {
+    out.push_back(VertexUpdate{r.id(), 0});
   }
-  BitReader r{words, pos, byte_count};
   std::uint64_t prev = 0;
   int win_lead = -1, win_len = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
+  for (std::uint64_t i = 0; i < r.count(); ++i) {
     std::uint64_t v;
     if (i == 0) {
-      v = r.get(64);
-    } else if (r.get(1) == 0) {
+      v = r.bits(64);
+    } else if (r.bits(1) == 0) {
       v = prev;
-    } else if (r.get(1) == 0) {
+    } else if (r.bits(1) == 0) {
       if (win_lead < 0) {
         throw DecodeError("gorilla stream reuses a window before opening one");
       }
-      const int win_trail = 64 - win_lead - win_len;
-      v = prev ^ (r.get(win_len) << win_trail);
+      v = prev ^ (r.bits(win_len) << (64 - win_lead - win_len));
     } else {
-      win_lead = static_cast<int>(r.get(6));
-      win_len = static_cast<int>(r.get(6)) + 1;
+      win_lead = static_cast<int>(r.bits(6));
+      win_len = static_cast<int>(r.bits(6)) + 1;
       if (win_lead + win_len > 64) {
         throw DecodeError("gorilla window exceeds 64 bits");
       }
-      const int win_trail = 64 - win_lead - win_len;
-      v = prev ^ (r.get(win_len) << win_trail);
+      v = prev ^ (r.bits(win_len) << (64 - win_lead - win_len));
     }
     out[before + i].value = v;
     prev = v;
   }
-  if (r.consumed_end() != byte_count) {
-    throw DecodeError("gorilla payload has trailing bytes");
-  }
+  r.expect_end();
 }
 
 NormalExchange::NormalExchange(Transport& transport, sim::ClusterSpec spec)
@@ -1184,95 +1088,45 @@ NormalExchange::NormalExchange(Transport& transport, sim::ClusterSpec spec)
 std::vector<LocalId> NormalExchange::exchange(
     sim::GpuCoord me, std::vector<std::vector<LocalId>>& bins, int iteration,
     const ExchangeOptions& options, ExchangeCounters& counters) {
-  if (options.topology != sim::ExchangeTopology::kFlat) {
-    const IdHopTraits traits{options};
-    return multi_hop_exchange(transport_, spec_, me, bins, iteration,
-                              options.topology, options.retry, traits,
-                              counters);
-  }
-  const int p = spec_.total_gpus();
-  const int me_global = spec_.global_gpu(me);
-  const int local_tag = kTagExchangeLocal + iteration * kTagBlock;
-  const int remote_tag = kTagExchangeRemote + iteration * kTagBlock;
-  const bool lossy = transport_.lossy();
-
-  for (const auto& bin : bins) counters.bin_vertices += bin.size();
-
-  std::vector<LocalId> received;
-
-  if (!options.local_all2all) {
-    // Direct pattern: every GPU exchanges with every other GPU (p^2 pairs).
-    if (options.uniquify) {
-      for (int g = 0; g < p; ++g) {
-        if (g == me_global) continue;
-        auto& bin = bins[static_cast<std::size_t>(g)];
-        counters.uniquify_vertices += bin.size();
-        counters.uniquify_bytes += bin.size() * 4;
-        counters.duplicates_removed += uniquify_bin(bin);
-      }
-    }
-    for (int g = 0; g < p; ++g) {
-      if (g == me_global) continue;
-      auto& bin = bins[static_cast<std::size_t>(g)];
-      const std::uint64_t payload_bytes =
-          bin.size() * 4 + (lossy ? kFrameOverheadBytes : 0);
-      if (spec_.coord_of(g).rank != me.rank) {
-        counters.send_bytes_remote += payload_bytes;
-        ++counters.send_dest_ranks;
-      } else {
-        counters.local_bytes += payload_bytes;
-      }
-      transport_.send(me_global, g, remote_tag,
-                      maybe_frame(transport_, pack_ids(bin), counters));
-      bin.clear();
-    }
-    received = std::move(bins[static_cast<std::size_t>(me_global)]);
-    bins[static_cast<std::size_t>(me_global)].clear();
-    for (int g = 0; g < p; ++g) {
-      if (g == me_global) continue;
-      const auto words = recv_reliable(transport_, me_global, g, remote_tag,
-                                       options.retry, counters);
-      const std::uint64_t count = words.empty() ? 0 : words[0];
-      if (spec_.coord_of(g).rank != me.rank) {
-        counters.recv_bytes_remote +=
-            count * 4 + (lossy ? kFrameOverheadBytes : 0);
-      }
-      const std::span<const std::uint64_t> span(words);
-      std::size_t pos = 0;
-      decode_ids(span, pos, received);
-      if (pos != span.size()) {
-        throw DecodeError("id message has trailing words");
-      }
-    }
-    return received;
+  const IdCodec codec(options.uniquify);
+  if (options.topology != sim::ExchangeTopology::kFlat ||
+      !options.local_all2all) {
+    return route_exchange(transport_, spec_, me, bins, iteration,
+                          options.topology, options.retry, codec, counters);
   }
 
   // ---- Local all2all: gather my column (GPU index me.gpu of every rank) --
-  // Phase A: hand bins for other local GPUs' columns to those GPUs, framed
-  // per destination rank.
+  const int me_global = spec_.global_gpu(me);
+  const int local_tag = kTagExchangeLocal + iteration * kTagBlock;
+  for (const auto& bin : bins) counters.bin_vertices += bin.size();
+  FramedLink link(transport_, me_global, options.retry, counters);
+
+  // Phase A: hand bins for other local GPUs' columns to those GPUs, one
+  // [rank, id payload] entry per destination rank.
   for (int lg = 0; lg < spec_.gpus_per_rank; ++lg) {
     if (lg == me.gpu) continue;
     std::vector<std::uint64_t> payload;
+    std::uint64_t bytes = 0;
     for (int r = 0; r < spec_.num_ranks; ++r) {
-      const int dest = spec_.global_gpu(sim::GpuCoord{r, lg});
-      auto& bin = bins[static_cast<std::size_t>(dest)];
+      auto& bin = bins[static_cast<std::size_t>(
+          spec_.global_gpu(sim::GpuCoord{r, lg}))];
+      const Encoded e = codec.encode(bin, counters);
       payload.push_back(static_cast<std::uint64_t>(r));
-      const auto packed = pack_ids(bin);
-      payload.insert(payload.end(), packed.begin(), packed.end());
-      counters.local_bytes += bin.size() * 4;
+      payload.insert(payload.end(), e.words.begin(), e.words.end());
+      bytes += e.bytes;
       bin.clear();
     }
-    if (lossy) counters.local_bytes += kFrameOverheadBytes;
-    transport_.send(me_global, spec_.global_gpu(sim::GpuCoord{me.rank, lg}),
-                    local_tag,
-                    maybe_frame(transport_, std::move(payload), counters));
+    link.send(spec_.global_gpu(sim::GpuCoord{me.rank, lg}), local_tag,
+              std::move(payload), bytes, /*remote=*/false);
   }
 
   // My own column bins stay local.
   std::vector<std::vector<LocalId>> column(
       static_cast<std::size_t>(spec_.num_ranks));
+  std::vector<int> column_gpus(static_cast<std::size_t>(spec_.num_ranks));
   for (int r = 0; r < spec_.num_ranks; ++r) {
     const int dest = spec_.global_gpu(sim::GpuCoord{r, me.gpu});
+    column_gpus[static_cast<std::size_t>(r)] = dest;
     column[static_cast<std::size_t>(r)] =
         std::move(bins[static_cast<std::size_t>(dest)]);
     bins[static_cast<std::size_t>(dest)].clear();
@@ -1281,9 +1135,8 @@ std::vector<LocalId> NormalExchange::exchange(
   // Receive the other local GPUs' contributions to my column.
   for (int lg = 0; lg < spec_.gpus_per_rank; ++lg) {
     if (lg == me.gpu) continue;
-    const int peer = spec_.global_gpu(sim::GpuCoord{me.rank, lg});
-    const auto words = recv_reliable(transport_, me_global, peer, local_tag,
-                                     options.retry, counters);
+    const auto words =
+        link.recv(spec_.global_gpu(sim::GpuCoord{me.rank, lg}), local_tag);
     const std::span<const std::uint64_t> span(words);
     std::size_t pos = 0;
     while (pos < span.size()) {
@@ -1295,110 +1148,20 @@ std::vector<LocalId> NormalExchange::exchange(
     }
   }
 
-  // Loopback: my own rank's slice is already home.
-  received = std::move(column[static_cast<std::size_t>(me.rank)]);
-
-  // Uniquify concentrates on the gathered per-rank bins (the point of L).
-  if (options.uniquify) {
-    for (int r = 0; r < spec_.num_ranks; ++r) {
-      if (r == me.rank) continue;
-      auto& bin = column[static_cast<std::size_t>(r)];
-      counters.uniquify_vertices += bin.size();
-      counters.uniquify_bytes += bin.size() * 4;
-      counters.duplicates_removed += uniquify_bin(bin);
-    }
-  }
-
-  // Phase B: remote exchange strictly within the GPU column.
-  for (int r = 0; r < spec_.num_ranks; ++r) {
-    if (r == me.rank) continue;
-    auto& bin = column[static_cast<std::size_t>(r)];
-    counters.send_bytes_remote +=
-        bin.size() * 4 + (lossy ? kFrameOverheadBytes : 0);
-    ++counters.send_dest_ranks;
-    transport_.send(me_global, spec_.global_gpu(sim::GpuCoord{r, me.gpu}),
-                    remote_tag,
-                    maybe_frame(transport_, pack_ids(bin), counters));
-    bin.clear();
-  }
-  for (int r = 0; r < spec_.num_ranks; ++r) {
-    if (r == me.rank) continue;
-    const int peer = spec_.global_gpu(sim::GpuCoord{r, me.gpu});
-    const auto words = recv_reliable(transport_, me_global, peer, remote_tag,
-                                     options.retry, counters);
-    counters.recv_bytes_remote += (words.empty() ? 0 : words[0]) * 4 +
-                                  (lossy ? kFrameOverheadBytes : 0);
-    const std::span<const std::uint64_t> span(words);
-    std::size_t pos = 0;
-    decode_ids(span, pos, received);
-    if (pos != span.size()) {
-      throw DecodeError("id message has trailing words");
-    }
-  }
-  return received;
+  // Phase B: the flat exchange strictly within the GPU column; uniquify
+  // concentrates on the gathered per-rank bins (the point of L), and my
+  // own rank's slice is the loopback.
+  return flat_exchange(link, spec_, me, column_gpus, column,
+                       kTagExchangeRemote + iteration * kTagBlock, codec,
+                       counters);
 }
 
 std::vector<VertexUpdate> exchange_updates(
     Transport& transport, const sim::ClusterSpec& spec, sim::GpuCoord me,
     std::vector<std::vector<VertexUpdate>>& bins, int iteration,
     const UpdateExchangeOptions& options, ExchangeCounters& counters) {
-  const int p = spec.total_gpus();
-  const int me_global = spec.global_gpu(me);
-  const int tag = kTagExchangeRemote + iteration * kTagBlock;
-  const bool lossy = transport.lossy();
-
-  // Wire width of one uncompressed update: 4-byte id + the value field.
-  // value_bytes = 8 is the historic (id, 64-bit value) record; lane-word
-  // senders narrow it to their batch width (0 at W = 1, where the record
-  // degenerates to the id exchange's bare 4-byte id).
-  const std::uint64_t record_bytes =
-      4 + static_cast<std::uint64_t>(options.value_bytes);
-
-  if (options.topology != sim::ExchangeTopology::kFlat) {
-    const UpdateHopTraits traits{options, record_bytes};
-    return multi_hop_exchange(transport, spec, me, bins, iteration,
-                              options.topology, options.retry, traits,
-                              counters);
-  }
-
-  for (int dest = 0; dest < p; ++dest) {
-    if (dest == me_global) continue;
-    auto& bin = bins[static_cast<std::size_t>(dest)];
-    counters.bin_vertices += bin.size();
-    // Coalesce duplicates before the send (the loopback bin never hits a
-    // wire, so it is left to the receiver's fold, like the id exchange's U).
-    coalesce_with_counters(bin, options, record_bytes, counters);
-    EncodedBin encoded =
-        encode_update_payload(bin, options, record_bytes, counters);
-    std::vector<std::uint64_t> words = std::move(encoded.words);
-    std::uint64_t payload = encoded.payload_bytes;
-    if (lossy) payload += kFrameOverheadBytes;
-    if (spec.coord_of(dest).rank != me.rank) {
-      counters.send_bytes_remote += payload;
-      ++counters.send_dest_ranks;
-    } else {
-      counters.local_bytes += payload;
-    }
-    transport.send(me_global, dest, tag,
-                   maybe_frame(transport, std::move(words), counters));
-    bin.clear();
-  }
-  std::vector<VertexUpdate> received =
-      std::move(bins[static_cast<std::size_t>(me_global)]);
-  counters.bin_vertices += received.size();
-  bins[static_cast<std::size_t>(me_global)].clear();
-  for (int src = 0; src < p; ++src) {
-    if (src == me_global) continue;
-    const auto words =
-        recv_reliable(transport, me_global, src, tag, options.retry, counters);
-    const std::uint64_t payload_bytes =
-        decode_update_payload(words, options, record_bytes, received);
-    if (spec.coord_of(src).rank != me.rank) {
-      counters.recv_bytes_remote +=
-          payload_bytes + (lossy ? kFrameOverheadBytes : 0);
-    }
-  }
-  return received;
+  return route_exchange(transport, spec, me, bins, iteration, options.topology,
+                        options.retry, UpdateCodec(options), counters);
 }
 
 }  // namespace dsbfs::comm

@@ -217,9 +217,10 @@ struct UpdateExchangeOptions {
   /// previous value + leading/trailing-zero truncation on the bit-cast
   /// stream) as the encoded representation instead of delta+varint values.
   /// Built for IEEE-double payloads (PageRank contributions), where varints
-  /// lose; ids still travel as zigzag varint deltas.  `value_bias` is
-  /// ignored (an XOR window needs no floor).  Combine it with `adaptive`
-  /// and the per-bin trial-encode guarantees the wire never exceeds raw.
+  /// lose; ids still travel as zigzag varint deltas.  Takes no
+  /// `value_bias` (an XOR window needs no floor; validate() rejects one).
+  /// Combine it with `adaptive` and the per-bin trial-encode guarantees the
+  /// wire never exceeds raw.
   bool gorilla = false;
   /// Routing mode (see sim/topology.hpp and ExchangeOptions::topology).
   /// The multi-hop modes re-coalesce across gathered sources only for the
@@ -231,6 +232,12 @@ struct UpdateExchangeOptions {
   /// NACK/retransmit knobs; consulted only on a lossy transport.
   sim::RetryPolicy retry{};
 };
+
+/// Reject an incoherent wire: throws std::invalid_argument on `adaptive` or
+/// `gorilla` without `compress`, and on a nonzero `value_bias` with
+/// `gorilla`.  exchange_updates runs it on every call; facades run it at
+/// construction so a bad option fails before the first round.
+void validate(const UpdateExchangeOptions& options);
 
 /// Collective fixed-pattern exchange of VertexUpdate bins (12 bytes of
 /// payload per update on the wire uncompressed; packed as 1.5 words).

@@ -192,9 +192,8 @@ DistributedBatchBfs::DistributedBatchBfs(const graph::DistributedGraph& graph,
                                          BatchBfsOptions options)
     : graph_(graph), cluster_(cluster), options_(options) {
   engine::check_specs_match(graph, cluster);
-  if (options_.adaptive_compress && !options_.compress) {
-    throw std::invalid_argument("batch bfs adaptive_compress needs compress");
-  }
+  // Fail at construction; the round validates again at its lane width.
+  comm::validate(LaneBfsRound::wire_options(options_, 1));
 }
 
 VertexId DistributedBatchBfs::sample_source(std::uint64_t k) const {

@@ -12,6 +12,16 @@ namespace dsbfs::core {
 
 namespace {
 
+/// The label exchange's wire, built from the facade options.
+comm::UpdateExchangeOptions wire_options(const CcOptions& o) {
+  return {.combine = o.uniquify ? comm::UpdateCombine::kMin
+                                : comm::UpdateCombine::kNone,
+          .compress = o.compress,
+          .adaptive = o.adaptive_compress,
+          .topology = o.exchange_topology,
+          .retry = o.resilience.retry};
+}
+
 /// Min-label propagation as engine phases: labels travel along all four
 /// subgraphs each iteration; delegate labels meet in a global min-reduction
 /// before the normal-label exchange, and the engine's control allreduce
@@ -149,14 +159,7 @@ class CcAlgorithm {
     // Runs on the normal stream, concurrent with `reduce` on the delegate
     // stream: touches only normal-label state.
     const auto updates = ctx.comm.exchange_value_updates(
-        ctx.me, s.bins, iteration,
-        {.combine = options_.uniquify ? comm::UpdateCombine::kMin
-                                      : comm::UpdateCombine::kNone,
-         .compress = options_.compress,
-         .adaptive = options_.adaptive_compress,
-         .topology = options_.exchange_topology,
-         .retry = options_.resilience.retry},
-        s.iter);
+        ctx.me, s.bins, iteration, wire_options(options_), s.iter);
     for (const comm::VertexUpdate& u : updates) {
       if (u.value < s.label_normal[u.vertex]) {
         s.label_normal[u.vertex] = u.value;
@@ -207,9 +210,7 @@ ConnectedComponents::ConnectedComponents(const graph::DistributedGraph& graph,
                                          CcOptions options)
     : graph_(graph), cluster_(cluster), options_(options) {
   engine::check_specs_match(graph, cluster);
-  if (options_.adaptive_compress && !options_.compress) {
-    throw std::invalid_argument("cc adaptive_compress needs compress");
-  }
+  comm::validate(wire_options(options_));
 }
 
 CcResult ConnectedComponents::run() {

@@ -36,25 +36,34 @@ struct LaneRoundState {
 
 class LaneBfsRound {
  public:
-  /// `options` is the owning facade's options struct (BatchBfsOptions,
+  /// The (id, lane-word) wire of a `lane_bits`-wide round.  `options` is
+  /// the owning facade's options struct (BatchBfsOptions,
   /// SchedulerOptions); both spell the wire fields the same way.  The lane
   /// word is the update value: OR coalescing merges candidates for one
   /// destination, and the wire width is the lane width (0 extra bytes at
   /// W = 1, where the single lane is implicit and the record matches the
   /// id exchange's 4-byte id).
   template <typename Options>
+  static comm::UpdateExchangeOptions wire_options(const Options& options,
+                                                  int lane_bits) {
+    return {.combine = options.uniquify ? comm::UpdateCombine::kOr
+                                        : comm::UpdateCombine::kNone,
+            .compress = options.compress,
+            .value_bytes = lane_bits == 1 ? 0 : lane_bits / 8,
+            .adaptive = options.adaptive_compress,
+            .topology = options.exchange_topology,
+            .retry = options.resilience.retry};
+  }
+
+  template <typename Options>
   LaneBfsRound(const graph::DistributedGraph& graph, const Options& options,
                int lane_bits)
       : graph_(graph),
         lane_bits_(lane_bits),
-        exchange_{.combine = options.uniquify ? comm::UpdateCombine::kOr
-                                              : comm::UpdateCombine::kNone,
-                  .compress = options.compress,
-                  .value_bytes = lane_bits == 1 ? 0 : lane_bits / 8,
-                  .adaptive = options.adaptive_compress,
-                  .topology = options.exchange_topology,
-                  .retry = options.resilience.retry},
-        reduce_mode_(options.reduce_mode) {}
+        exchange_(wire_options(options, lane_bits)),
+        reduce_mode_(options.reduce_mode) {
+    comm::validate(exchange_);
+  }
 
   std::uint64_t state_bytes(const engine::GpuContext& ctx,
                             const LaneRoundState& s) const {

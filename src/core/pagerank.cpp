@@ -13,6 +13,17 @@ namespace dsbfs::core {
 
 namespace {
 
+/// The contribution exchange's wire, built from the facade options.
+comm::UpdateExchangeOptions wire_options(const PagerankOptions& o) {
+  return {.combine = o.uniquify ? comm::UpdateCombine::kSumDouble
+                                : comm::UpdateCombine::kNone,
+          .compress = o.compress,
+          .adaptive = o.adaptive_compress,
+          .gorilla = o.gorilla,
+          .topology = o.exchange_topology,
+          .retry = o.resilience.retry};
+}
+
 /// Push-style PageRank as engine phases: every vertex distributes
 /// rank / out_degree along its edges each iteration; delegate inflows meet
 /// in a global SUM reduction, nn inflows travel through the update
@@ -164,15 +175,7 @@ class PagerankAlgorithm {
     // nn inflow exchange; runs on the normal stream, concurrent with the
     // delegate inflow reduction: touches only acc_normal.
     const auto updates = ctx.comm.exchange_value_updates(
-        ctx.me, s.bins, iteration,
-        {.combine = options_.uniquify ? comm::UpdateCombine::kSumDouble
-                                      : comm::UpdateCombine::kNone,
-         .compress = options_.compress,
-         .adaptive = options_.adaptive_compress,
-         .gorilla = options_.gorilla,
-         .topology = options_.exchange_topology,
-         .retry = options_.resilience.retry},
-        s.iter);
+        ctx.me, s.bins, iteration, wire_options(options_), s.iter);
     for (const comm::VertexUpdate& u : updates) {
       s.acc_normal[u.vertex] += std::bit_cast<double>(u.value);
     }
@@ -253,10 +256,7 @@ DistributedPagerank::DistributedPagerank(const graph::DistributedGraph& graph,
                                          PagerankOptions options)
     : graph_(graph), cluster_(cluster), options_(options) {
   engine::check_specs_match(graph, cluster);
-  if ((options_.adaptive_compress || options_.gorilla) && !options_.compress) {
-    throw std::invalid_argument(
-        "pagerank adaptive_compress and gorilla need compress");
-  }
+  comm::validate(wire_options(options_));
 }
 
 PagerankResult DistributedPagerank::run() {

@@ -378,9 +378,8 @@ QueryScheduler::QueryScheduler(const graph::DistributedGraph& graph,
   if (options_.width < 1 || options_.width > 64) {
     throw std::invalid_argument("scheduler width must be 1..64");
   }
-  if (options_.adaptive_compress && !options_.compress) {
-    throw std::invalid_argument("scheduler adaptive_compress needs compress");
-  }
+  // Fail at construction; the round validates again at its lane width.
+  comm::validate(LaneBfsRound::wire_options(options_, 1));
 }
 
 VertexId QueryScheduler::sample_source(std::uint64_t k) const {

@@ -14,6 +14,19 @@ namespace dsbfs::core {
 
 namespace {
 
+/// The distance exchange's wire for a round biased by `value_bias`, built
+/// from the facade options.
+comm::UpdateExchangeOptions wire_options(const SsspOptions& o,
+                                         std::uint64_t value_bias) {
+  return {.combine = o.uniquify ? comm::UpdateCombine::kMin
+                                : comm::UpdateCombine::kNone,
+          .compress = o.compress,
+          .value_bias = value_bias,
+          .adaptive = o.adaptive_compress,
+          .topology = o.exchange_topology,
+          .retry = o.resilience.retry};
+}
+
 /// Label-correcting Bellman-Ford as engine phases (see sssp.hpp).  The
 /// communication structure mirrors connected components -- min-combine over
 /// delegates, (id, value) exchange for normals -- with distance-plus-weight
@@ -351,14 +364,7 @@ class SsspAlgorithm {
     // Runs on the normal stream, concurrent with `reduce` on the delegate
     // stream: touches only normal-distance state.
     const auto updates = ctx.comm.exchange_value_updates(
-        ctx.me, s.bins, iteration,
-        {.combine = options_.uniquify ? comm::UpdateCombine::kMin
-                                      : comm::UpdateCombine::kNone,
-         .compress = options_.compress,
-         .value_bias = s.value_bias,
-         .adaptive = options_.adaptive_compress,
-         .topology = options_.exchange_topology,
-         .retry = options_.resilience.retry},
+        ctx.me, s.bins, iteration, wire_options(options_, s.value_bias),
         s.iter);
     for (const comm::VertexUpdate& u : updates) {
       if (u.value < s.dist_normal[u.vertex]) {
@@ -426,9 +432,7 @@ DistributedSssp::DistributedSssp(const graph::DistributedGraph& graph,
   if (options_.max_weight == 0) {
     throw std::invalid_argument("sssp max_weight must be at least 1");
   }
-  if (options_.adaptive_compress && !options_.compress) {
-    throw std::invalid_argument("sssp adaptive_compress needs compress");
-  }
+  comm::validate(wire_options(options_, 0));
 }
 
 SsspResult DistributedSssp::run(VertexId source) {

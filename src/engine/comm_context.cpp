@@ -42,6 +42,12 @@ std::vector<comm::VertexUpdate> CommContext::exchange_value_updates(
   comm::ExchangeCounters ec;
   auto updates = comm::exchange_updates(transport_, spec_, me, bins,
                                         iteration, options, ec);
+  record_exchange(std::move(ec), iter);
+  return updates;
+}
+
+void record_exchange(comm::ExchangeCounters&& ec,
+                     sim::GpuIterationCounters& iter) {
   iter.bin_vertices = ec.bin_vertices;
   iter.uniquify_vertices = ec.uniquify_vertices;
   iter.uniquify_bytes = ec.uniquify_bytes;
@@ -57,7 +63,6 @@ std::vector<comm::VertexUpdate> CommContext::exchange_value_updates(
   iter.recovery_ns = ec.recovery_ns;
   iter.checksum_bytes = ec.checksum_bytes;
   iter.hops = std::move(ec.hops);
-  return updates;
 }
 
 }  // namespace dsbfs::engine

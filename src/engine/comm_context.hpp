@@ -99,4 +99,11 @@ class CommContext {
   std::vector<int> everyone_;
 };
 
+/// Record one exchange's counters into the iteration row: every byte,
+/// uniquify, encode and hardened-wire field, and the hop trace (moved; the
+/// row is fresh each iteration and holds one exchange).  The one hand-off
+/// for both the id and the update exchange.
+void record_exchange(comm::ExchangeCounters&& ec,
+                     sim::GpuIterationCounters& iter);
+
 }  // namespace dsbfs::engine

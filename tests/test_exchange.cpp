@@ -1093,5 +1093,164 @@ TEST(WireCorpus, CompressedUpdateHostileBuffers) {
   EXPECT_EQ(out[1].value, 102u);
 }
 
+
+TEST(UpdateExchange, RejectsIncoherentWireOptions) {
+  EXPECT_THROW(validate({.adaptive = true}), std::invalid_argument);
+  EXPECT_THROW(validate({.gorilla = true}), std::invalid_argument);
+  EXPECT_THROW(validate({.adaptive = true, .gorilla = true}),
+               std::invalid_argument);
+  EXPECT_THROW(validate({.compress = true, .value_bias = 5, .gorilla = true}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(validate({}));
+  EXPECT_NO_THROW(validate({.compress = true, .value_bias = 5}));
+  EXPECT_NO_THROW(validate({.compress = true, .adaptive = true}));
+  EXPECT_NO_THROW(
+      validate({.compress = true, .adaptive = true, .gorilla = true}));
+  // The exchange itself rejects the same options before any message moves.
+  const sim::ClusterSpec spec;
+  Transport t(spec);
+  std::vector<std::vector<VertexUpdate>> bins(1);
+  bins[0].push_back(VertexUpdate{1, 2});
+  ExchangeCounters counters;
+  EXPECT_THROW(exchange_updates(t, spec, spec.coord_of(0), bins, 0,
+                                {.compress = true, .value_bias = 1,
+                                 .gorilla = true},
+                                counters),
+               std::invalid_argument);
+  EXPECT_THROW(exchange_updates(t, spec, spec.coord_of(0), bins, 0,
+                                {.adaptive = true}, counters),
+               std::invalid_argument);
+}
+
+TEST(WireCorpus, GorillaUpdateHostileBuffers) {
+  std::vector<VertexUpdate> out;
+  // Missing / short header.
+  EXPECT_THROW(decode_updates_gorilla({}, out), DecodeError);
+  EXPECT_THROW(decode_updates_gorilla(std::vector<std::uint64_t>{1}, out),
+               DecodeError);
+  // Declared byte count disagreeing with the body both ways.
+  EXPECT_THROW(decode_updates_gorilla(std::vector<std::uint64_t>{1, 9, 0}, out),
+               DecodeError);
+  EXPECT_THROW(
+      decode_updates_gorilla(std::vector<std::uint64_t>{1, 2, 0, 0}, out),
+      DecodeError);
+  // Count impossible for the payload size (1 byte minimum per update).
+  EXPECT_THROW(decode_updates_gorilla(std::vector<std::uint64_t>{4, 3, 0}, out),
+               DecodeError);
+  // Id 0, then only two of the first value's eight bytes.
+  EXPECT_THROW(
+      decode_updates_gorilla(std::vector<std::uint64_t>{1, 3, 0xBBAA00}, out),
+      DecodeError);
+  // Ids 0 and 1 (zigzag deltas 0, 2), a zero first value, then control
+  // bits '1','0': reuse a window that was never opened.
+  EXPECT_THROW(decode_updates_gorilla(
+                   std::vector<std::uint64_t>{2, 11, 0x0200, 0x010000}, out),
+               DecodeError);
+  // Same prefix, control bits '1','1', then lead 63 and length 2: the
+  // window runs past bit 64.
+  EXPECT_THROW(decode_updates_gorilla(
+                   std::vector<std::uint64_t>{2, 12, 0x0200, 0x01FF0000}, out),
+               DecodeError);
+  // Id 0 and a full first value, then one declared byte left over.
+  EXPECT_THROW(
+      decode_updates_gorilla(std::vector<std::uint64_t>{1, 10, 0, 0}, out),
+      DecodeError);
+  // Hand-packed valid payload: updates (3, 1.0) and (7, 1.0) -- zigzag
+  // deltas 6 and 8, the 64-bit value, then one '0' repeat bit.
+  out.clear();
+  decode_updates_gorilla(std::vector<std::uint64_t>{2, 11, 0x0806, 0x3FF0},
+                         out);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].vertex, 3u);
+  EXPECT_EQ(out[0].value, std::bit_cast<std::uint64_t>(1.0));
+  EXPECT_EQ(out[1].vertex, 7u);
+  EXPECT_EQ(out[1].value, std::bit_cast<std::uint64_t>(1.0));
+}
+
+TEST(WireCorpus, SeededMutations) {
+  // Valid corpus payloads of every format, plus their framed forms.
+  std::vector<std::vector<std::uint64_t>> corpus = {
+      {3, (2ULL << 32) | 1, 3},      // ids 1, 2, 3
+      {1, 4, 7},                     // raw (4, 7)
+      {2, 4, 0x02080506},            // delta+varint (3, 5), (7, 2)
+      {2, 11, 0x0806, 0x3FF0},       // gorilla (3, 1.0), (7, 1.0)
+  };
+  const std::size_t payloads = corpus.size();
+  for (std::size_t i = 0; i < payloads; ++i) {
+    corpus.push_back(frame_payload(corpus[i]));
+  }
+  // Contract: a typed DecodeError, or a decode yielding the declared count.
+  const auto expect_contract = [](const char* decoder,
+                                  const std::vector<std::uint64_t>& words,
+                                  const std::function<std::size_t()>& run) {
+    const std::uint64_t declared = words.empty() ? 0 : words[0];
+    try {
+      EXPECT_EQ(run(), declared) << decoder;
+    } catch (const DecodeError&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << decoder << " threw an untyped error: " << e.what();
+    }
+  };
+  std::uint64_t seed = 0x5EED;
+  const auto rng = [&seed] {  // splitmix64: fixed seed, fixed corpus
+    std::uint64_t z = (seed += 0x9E3779B97F4A7C15ULL);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+  };
+  for (int round = 0; round < 4000; ++round) {
+    std::vector<std::uint64_t> w = corpus[rng() % corpus.size()];
+    switch (rng() % 4) {
+      case 0:  // bit flips
+        for (std::uint64_t k = 1 + rng() % 3; k > 0 && !w.empty(); --k) {
+          w[rng() % w.size()] ^= 1ULL << (rng() % 64);
+        }
+        break;
+      case 1:  // truncation
+        w.resize(rng() % (w.size() + 1));
+        break;
+      case 2:  // extension
+        for (std::uint64_t k = 1 + rng() % 3; k > 0; --k) {
+          w.push_back(rng() % 2 == 0 ? rng() % 256 : rng());
+        }
+        break;
+      default:  // word swap
+        if (w.size() >= 2) {
+          const std::size_t a = rng() % w.size();
+          std::swap(w[a], w[rng() % w.size()]);
+        }
+        break;
+    }
+    expect_contract("decode_ids", w, [&] {
+      std::vector<LocalId> ids;
+      std::size_t pos = 0;
+      decode_ids(w, pos, ids);
+      return ids.size();
+    });
+    expect_contract("decode_updates_raw", w, [&] {
+      std::vector<VertexUpdate> out;
+      decode_updates_raw(w, out);
+      return out.size();
+    });
+    expect_contract("decode_updates_compressed", w, [&] {
+      std::vector<VertexUpdate> out;
+      decode_updates_compressed(w, 0, out);
+      return out.size();
+    });
+    expect_contract("decode_updates_gorilla", w, [&] {
+      std::vector<VertexUpdate> out;
+      decode_updates_gorilla(w, out);
+      return out.size();
+    });
+    try {
+      const auto payload = verify_frame(w);
+      EXPECT_EQ(payload.size(), w[0] & 0xffffffffULL);
+    } catch (const DecodeError&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "verify_frame threw an untyped error: " << e.what();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dsbfs::comm
