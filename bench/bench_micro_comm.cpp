@@ -1,8 +1,12 @@
 // Microbenchmarks of the communication substrate: transport point-to-point,
-// tree collectives, the two-phase mask reducer and the normal exchange.
+// tree collectives, the two-phase mask reducer, the normal exchange and the
+// encoded update codecs.
 #include <benchmark/benchmark.h>
 
+#include <random>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "comm/collectives.hpp"
 #include "comm/exchange.hpp"
@@ -120,5 +124,99 @@ BENCHMARK(BM_NormalExchange)
     ->Args({1 << 10, 1})
     ->Args({1 << 16, 0})
     ->Args({1 << 16, 1});
+
+enum Stream : std::int64_t { kPageRankDoubles = 0, kSsspLaneWords = 1 };
+constexpr std::uint64_t kLaneBias = 0x0078007800780078ULL;  // 0x78 per lane
+
+/// One outbound update bin as the codecs see it after coalescing: ascending
+/// ids with small gaps and, per `stream`, PageRank-like doubles (nearby
+/// binades, random mantissas, a quarter repeating their predecessor) or
+/// SSSP-like lane words (four 16-bit distances at or above kLaneBias).
+std::vector<comm::VertexUpdate> update_bin(Stream stream, std::size_t n) {
+  std::mt19937_64 rng(42);
+  std::vector<comm::VertexUpdate> bin;
+  bin.reserve(n);
+  LocalId id = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    id += static_cast<LocalId>(1 + rng() % 40);
+    std::uint64_t value = 0;
+    if (stream == kPageRankDoubles) {
+      const std::uint64_t exponent = 1013 + rng() % 6;
+      value = (exponent << 52) | (rng() & ((1ULL << 52) - 1));
+      if (i > 0 && rng() % 4 == 0) value = bin.back().value;
+    } else {
+      for (int lane = 0; lane < 4; ++lane) {
+        value |= (0x78 + rng() % 900) << (16 * lane);
+      }
+    }
+    bin.push_back(comm::VertexUpdate{id, value});
+  }
+  return bin;
+}
+
+/// Gorilla when `gorilla`, else delta+varint (biased on the lane words).
+std::vector<std::uint64_t> encode_bin(
+    const std::vector<comm::VertexUpdate>& bin, bool gorilla, Stream stream) {
+  if (gorilla) return comm::encode_updates_gorilla(bin);
+  return comm::encode_updates_compressed(
+      bin, stream == kSsspLaneWords ? kLaneBias : 0);
+}
+
+void report_codec_run(benchmark::State& state, bool gorilla, Stream stream,
+                     std::size_t records, std::size_t words) {
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(records));
+  state.SetLabel(std::string(gorilla ? "gorilla" : "varint") + " " +
+                 (stream == kPageRankDoubles ? "pagerank-doubles"
+                                             : "sssp-lane-words") +
+                 ", " + std::to_string(words * 8 / records) + " B/record");
+}
+
+/// Records/s through one bin encoder.  Args: {gorilla, stream}.
+void BM_UpdateEncode(benchmark::State& state) {
+  const bool gorilla = state.range(0) != 0;
+  const auto stream = static_cast<Stream>(state.range(1));
+  const auto bin = update_bin(stream, 1 << 14);
+  std::size_t words = 0;
+  for (auto _ : state) {
+    auto encoded = encode_bin(bin, gorilla, stream);
+    words = encoded.size();
+    benchmark::DoNotOptimize(encoded.data());
+    benchmark::ClobberMemory();
+  }
+  report_codec_run(state, gorilla, stream, bin.size(), words);
+}
+BENCHMARK(BM_UpdateEncode)
+    ->Args({0, kPageRankDoubles})
+    ->Args({1, kPageRankDoubles})
+    ->Args({0, kSsspLaneWords})
+    ->Args({1, kSsspLaneWords});
+
+/// Records/s through one bin decoder.  Args: {gorilla, stream}.
+void BM_UpdateDecode(benchmark::State& state) {
+  const bool gorilla = state.range(0) != 0;
+  const auto stream = static_cast<Stream>(state.range(1));
+  const auto bin = update_bin(stream, 1 << 14);
+  const auto encoded = encode_bin(bin, gorilla, stream);
+  std::vector<comm::VertexUpdate> out;
+  out.reserve(bin.size());
+  for (auto _ : state) {
+    out.clear();
+    if (gorilla) {
+      comm::decode_updates_gorilla(encoded, out);
+    } else {
+      comm::decode_updates_compressed(
+          encoded, stream == kSsspLaneWords ? kLaneBias : 0, out);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  report_codec_run(state, gorilla, stream, bin.size(), encoded.size());
+}
+BENCHMARK(BM_UpdateDecode)
+    ->Args({0, kPageRankDoubles})
+    ->Args({1, kPageRankDoubles})
+    ->Args({0, kSsspLaneWords})
+    ->Args({1, kSsspLaneWords});
 
 }  // namespace

@@ -65,12 +65,15 @@ void coalesce_bin(std::vector<VertexUpdate>& bin, UpdateCombine combine,
   bin.resize(out);
 }
 
-// ---- byte stream of the encoded update formats ----------------------------
-// Both encoded formats ship [count, byte_count, bytes packed LE into words].
-// Ids travel as zigzag varint deltas from the previous id (ascending after
-// coalescing, so deltas are small non-negatives).  Delta+varint interleaves
-// each id with its value as a plain varint; Gorilla writes every id first,
-// then the values as a byte-aligned bit stream.
+// ---- bit stream of the encoded update formats -----------------------------
+// Both encoded formats ship [count, byte_count, stream], the stream one
+// little-endian bit stream packed into whole words: bit k of it is bit
+// k % 64 of body word k / 64, and byte_count is its length rounded up to
+// whole bytes.  Ids travel as zigzag varint deltas from the previous id
+// (ascending after coalescing, so deltas are small non-negatives); a varint
+// is a run of byte-aligned 8-bit groups.  Delta+varint interleaves each id
+// with its value as a plain varint; Gorilla writes every id first, then the
+// values as bit fields straight after the last id byte.
 
 std::uint64_t zigzag(std::int64_t v) {
   return (static_cast<std::uint64_t>(v) << 1) ^
@@ -81,18 +84,50 @@ std::int64_t unzigzag(std::uint64_t v) {
   return static_cast<std::int64_t>(v >> 1) ^ -static_cast<std::int64_t>(v & 1);
 }
 
-class ByteWriter {
+// A varint's continuation bits when its groups sit one per byte of a word.
+constexpr std::uint64_t kVarintMore = 0x8080808080808080ULL;
+
+/// Spread the low 56 bits of `v` into eight 7-bit groups, one per byte.
+std::uint64_t spread7(std::uint64_t v) {
+  v = ((v & 0x00FFFFFFF0000000ULL) << 4) | (v & 0x000000000FFFFFFFULL);
+  v = ((v & 0x0FFFC0000FFFC000ULL) << 2) | (v & 0x00003FFF00003FFFULL);
+  return ((v & 0x3F803F803F803F80ULL) << 1) | (v & 0x007F007F007F007FULL);
+}
+
+/// Inverse of spread7: the 7 low bits of each byte, concatenated.
+std::uint64_t gather7(std::uint64_t v) {
+  v &= 0x7F7F7F7F7F7F7F7FULL;
+  v = ((v & 0x7F007F007F007F00ULL) >> 1) | (v & 0x007F007F007F007FULL);
+  v = ((v & 0x3FFF00003FFF0000ULL) >> 2) | (v & 0x00003FFF00003FFFULL);
+  return ((v & 0x0FFFFFFF00000000ULL) >> 4) | (v & 0x000000000FFFFFFFULL);
+}
+
+/// Writes the stream through a 64-bit accumulator straight into payload
+/// words.  With kWrite = false it only counts the bits, so an encoder runs
+/// once to size its payload exactly and once to fill it (encode_stream).
+template <bool kWrite>
+class BitWriter {
  public:
-  explicit ByteWriter(std::size_t reserve_bytes) {
-    bytes_.reserve(reserve_bytes);
-  }
+  /// `out` is the first stream word (unused when only counting).
+  explicit BitWriter(std::uint64_t* out = nullptr) : cur_(out) {}
 
   void varint(std::uint64_t v) {
-    while (v >= 0x80) {
-      bytes_.push_back(static_cast<std::uint8_t>(0x80 | (v & 0x7f)));
-      v >>= 7;
+    if constexpr (!kWrite) {  // 1..10 groups, counted without a branch
+      const int groups = (std::bit_width(v | 1) + 6) / 7;
+      bits_ += 8 * static_cast<std::uint64_t>(groups);
+      return;
     }
-    bytes_.push_back(static_cast<std::uint8_t>(v));
+    if (v < 0x80) {  // one group: the common id delta
+      put(v, 8);
+      return;
+    }
+    if ((v >> 56) != 0) {  // eight full groups, then the top 8 bits
+      put(spread7(v) | kVarintMore, 64);
+      v >>= 56;
+    }
+    const int groups = (std::bit_width(v | 1) + 6) / 7;  // 1..8
+    put(spread7(v) | (kVarintMore & ((1ULL << (8 * groups - 8)) - 1)),
+        8 * groups);
   }
 
   void id(LocalId v) {
@@ -100,83 +135,136 @@ class ByteWriter {
     prev_id_ = static_cast<std::int64_t>(v);
   }
 
-  /// Append the low `n` bits of `v`, least significant first; the bit
-  /// stream starts on a fresh byte after the varints.
-  void bits(std::uint64_t v, int n) {
-    for (int i = 0; i < n; ++i) {
-      if (used_ == 0) bytes_.push_back(0);
-      if ((v >> i) & 1) {
-        bytes_.back() |= static_cast<std::uint8_t>(1u << used_);
-      }
-      used_ = (used_ + 1) & 7;
+  /// Append the `n` (1..64) bits of `v`, least significant first; `v` must
+  /// have no bits set at or above bit `n`.  Branch-free: field widths vary
+  /// with the data, so a word-full branch would mispredict.
+  void put(std::uint64_t v, int n) {
+    if constexpr (!kWrite) {
+      bits_ += static_cast<std::uint64_t>(n);
+    } else {
+      acc_ |= v << fill_;
+      *cur_ = acc_;  // the open word, complete or not
+      const bool full = fill_ + n >= 64;
+      // The bits of `v` past the open word: v >> (64 - fill_), spelled so
+      // a field that starts a word (fill_ = 0) shifts by at most 63.
+      const std::uint64_t carry = (v >> 1) >> (63 - fill_);
+      cur_ += full ? 1 : 0;
+      acc_ = full ? carry : acc_;
+      fill_ = (fill_ + n) & 63;
     }
   }
 
-  std::vector<std::uint64_t> finish(std::uint64_t count) const {
-    std::vector<std::uint64_t> words;
-    words.reserve(2 + (bytes_.size() + 7) / 8);
-    words.push_back(count);
-    words.push_back(bytes_.size());
-    for (std::size_t i = 0; i < bytes_.size(); i += 8) {
-      std::uint64_t w = 0;
-      for (std::size_t b = 0; b < 8 && i + b < bytes_.size(); ++b) {
-        w |= static_cast<std::uint64_t>(bytes_[i + b]) << (8 * b);
-      }
-      words.push_back(w);
+  /// Store the open word's carried-over bits, if any.
+  void flush() {
+    if constexpr (kWrite) {
+      if (fill_ > 0) *cur_ = acc_;
     }
-    return words;
   }
+
+  std::uint64_t bits() const { return bits_; }
 
  private:
-  std::vector<std::uint8_t> bytes_;
+  std::uint64_t* cur_;
+  std::uint64_t acc_ = 0;  // the open word's bits below `fill_`
+  int fill_ = 0;
+  std::uint64_t bits_ = 0;
   std::int64_t prev_id_ = 0;
-  int used_ = 0;  // bits used in the last byte (0 = none open)
 };
 
-/// Bounds-checked reader of the same stream, straight out of the word
-/// buffer.  The constructor validates the header; every read past the
-/// declared bytes throws DecodeError.
-class ByteReader {
- public:
-  /// `format` names the payload in errors; every record of it takes at
-  /// least `min_record_bytes` bytes.
-  ByteReader(std::span<const std::uint64_t> words, const char* format,
-             std::uint64_t min_record_bytes)
-      : words_(words), format_(format) {
-    if (words.size() < 2) {
-      throw DecodeError(std::string(format) +
-                        " update payload missing its 2-word header");
-    }
-    count_ = words[0];
-    end_ = words[1];
-    const std::uint64_t body_words = words.size() - 2;
-    // The byte count must land inside the final word: both a short body and
-    // trailing whole words of garbage are rejected.
-    if (end_ > body_words * 8 ||
-        (body_words > 0 && end_ <= (body_words - 1) * 8)) {
-      throw DecodeError(std::string(format) + " payload length mismatch: " +
-                        std::to_string(end_) + " declared bytes vs " +
-                        std::to_string(body_words) + " body words");
-    }
-    if (count_ > end_ / min_record_bytes) {
-      throw DecodeError(std::string(format) + " update count " +
-                        std::to_string(count_) + " exceeds its " +
-                        std::to_string(end_) + "-byte payload");
-    }
+/// An encoded payload at its exact size: `lead_words` zero words for the
+/// caller (the adaptive flag), [count, byte_count], then the stream that
+/// `emit(writer)` writes -- run once over a counting writer to size it.
+template <class Emit>
+std::vector<std::uint64_t> encode_stream(std::uint64_t count,
+                                         std::size_t lead_words,
+                                         const Emit& emit) {
+  BitWriter<false> sizer;
+  emit(sizer);
+  const std::uint64_t bits = sizer.bits();
+  std::vector<std::uint64_t> words(lead_words + 2 + (bits + 63) / 64);
+  words[lead_words] = count;
+  words[lead_words + 1] = (bits + 7) / 8;
+  BitWriter<true> writer(words.data() + lead_words + 2);
+  emit(writer);
+  writer.flush();
+  return words;
+}
+
+/// Validate an encoded payload's [count, byte_count] header against its
+/// body; returns the declared byte count.  `format` names the payload in
+/// errors; every record of it takes at least `min_record_bytes` bytes.
+std::uint64_t stream_bytes(std::span<const std::uint64_t> words,
+                           const char* format,
+                           std::uint64_t min_record_bytes) {
+  if (words.size() < 2) {
+    throw DecodeError(std::string(format) +
+                      " update payload missing its 2-word header");
   }
+  const std::uint64_t count = words[0];
+  const std::uint64_t bytes = words[1];
+  const std::uint64_t body_words = words.size() - 2;
+  // The byte count must land inside the final word: both a short body and
+  // trailing whole words of garbage are rejected.
+  if (bytes > body_words * 8 ||
+      (body_words > 0 && bytes <= (body_words - 1) * 8)) {
+    throw DecodeError(std::string(format) + " payload length mismatch: " +
+                      std::to_string(bytes) + " declared bytes vs " +
+                      std::to_string(body_words) + " body words");
+  }
+  if (count > bytes / min_record_bytes) {
+    throw DecodeError(std::string(format) + " update count " +
+                      std::to_string(count) + " exceeds its " +
+                      std::to_string(bytes) + "-byte payload");
+  }
+  return bytes;
+}
+
+/// Bounds-checked reader of the same stream, straight out of the word
+/// buffer.  Construction validates the header; every read past the declared
+/// bytes throws DecodeError.
+class BitReader {
+ public:
+  BitReader(std::span<const std::uint64_t> words, const char* format,
+            std::uint64_t min_record_bytes)
+      : format_(format),
+        end_(8 * stream_bytes(words, format, min_record_bytes)),
+        count_(words[0]),
+        body_(words.subspan(2)) {}
 
   std::uint64_t count() const { return count_; }
 
   std::uint64_t varint() {
     std::uint64_t v = 0;
     int shift = 0;
-    while (true) {
-      if (pos_ >= end_) throw DecodeError("varint truncated");
-      if (shift > 63) throw DecodeError("varint wider than 64 bits");
-      const std::uint8_t b = byte(pos_++);
-      v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+    if (end_ - pos_ >= 64) {  // up to eight groups from one 64-bit field
+      // One or two groups (id deltas, small values) are the common cases:
+      // predicted branches keep the next read's position off the data, and
+      // one group needs only the word it starts in (varints precede every
+      // bit field, so they start on a byte boundary).
+      const std::uint64_t first = body_[pos_ / 64] >> (pos_ % 64);
+      if ((first & 0x80) == 0) {
+        pos_ += 8;
+        return first & 0x7f;
+      }
+      const std::uint64_t w = peek(64);
+      if ((w & 0x8000) == 0) {
+        pos_ += 16;
+        return (w & 0x7f) | ((w >> 1) & 0x3f80);
+      }
+      const std::uint64_t stops = ~w & kVarintMore;
+      const int groups = stops != 0 ? std::countr_zero(stops) / 8 + 1 : 8;
+      v = gather7(groups == 8 ? w : w & ((1ULL << (8 * groups)) - 1));
+      pos_ += static_cast<std::uint64_t>(8 * groups);
+      if (stops != 0) return v;
+      shift = 56;
+    }
+    for (;; shift += 7) {
+      if (end_ - pos_ < 8) throw DecodeError("varint truncated");
+      const std::uint64_t b = take(8);
+      // The tenth group holds bit 63 alone.
+      if (shift == 63 && b > 1) throw DecodeError("varint wider than 64 bits");
+      v |= (b & 0x7f) << shift;
       if ((b & 0x80) == 0) return v;
-      shift += 7;
     }
   }
 
@@ -189,106 +277,58 @@ class ByteReader {
     return static_cast<LocalId>(prev_id_);
   }
 
+  /// Read `n` (1..64) bits.
   std::uint64_t bits(int n) {
-    std::uint64_t out = 0;
-    for (int i = 0; i < n; ++i) {
-      if (pos_ >= end_) {
-        throw DecodeError(std::string(format_) + " bit stream truncated");
-      }
-      out |= static_cast<std::uint64_t>((byte(pos_) >> used_) & 1) << i;
-      if (++used_ == 8) {
-        used_ = 0;
-        ++pos_;
-      }
+    if (static_cast<std::uint64_t>(n) > end_ - pos_) {
+      throw DecodeError(std::string(format_) + " bit stream truncated");
     }
-    return out;
+    return take(n);
   }
 
   /// Throws unless the reads consumed exactly the declared bytes.
   void expect_end() const {
-    if (pos_ + (used_ != 0 ? 1 : 0) != end_) {
+    if ((pos_ + 7) / 8 != end_ / 8) {
       throw DecodeError(std::string(format_) + " payload has trailing bytes");
     }
   }
 
  private:
-  std::uint8_t byte(std::uint64_t pos) const {
-    return static_cast<std::uint8_t>(words_[2 + pos / 8] >> (8 * (pos % 8)));
+  /// The `n` (1..64) bits at the read position, already bounds-checked: two
+  /// word loads and one mask.  The second load is clamped to the last word;
+  /// a field that fits its word masks whatever that load brought in.
+  std::uint64_t peek(int n) const {
+    const std::size_t w = static_cast<std::size_t>(pos_ / 64);
+    const int off = static_cast<int>(pos_ % 64);
+    const std::uint64_t lo = body_[w];
+    const std::uint64_t hi = body_[std::min(w + 1, body_.size() - 1)];
+    // lo >> off | hi << (64 - off), with no shift by 64 when off = 0.
+    const std::uint64_t v = (lo >> off) | ((hi << 1) << (63 - off));
+    return v & (~0ULL >> (64 - n));
   }
 
-  std::span<const std::uint64_t> words_;
+  std::uint64_t take(int n) {
+    const std::uint64_t v = peek(n);
+    pos_ += static_cast<std::uint64_t>(n);
+    return v;
+  }
+
   const char* format_;
-  std::uint64_t count_ = 0;
-  std::uint64_t end_ = 0;
-  std::uint64_t pos_ = 0;  // byte offset into the stream
-  int used_ = 0;           // bits consumed of the current byte
+  std::uint64_t end_;  // declared stream length in bits (validated first)
+  std::uint64_t count_;
+  std::span<const std::uint64_t> body_;
+  std::uint64_t pos_ = 0;  // bits consumed
   std::uint64_t prev_id_ = 0;
 };
 
-/// Delta+varint: values as plain varints after subtracting the caller's
-/// bias (mod 2^64; the receiver adds it back, so any bias round-trips
-/// bit-exactly).
-std::vector<std::uint64_t> pack_updates_compressed(
-    const std::vector<VertexUpdate>& updates, std::uint64_t value_bias) {
-  ByteWriter w(updates.size() * 3);
-  for (const VertexUpdate& u : updates) {
-    w.id(u.vertex);
-    w.varint(u.value - value_bias);
-  }
-  return w.finish(updates.size());
-}
-
-// Gorilla: the XOR-vs-previous scheme of Facebook's Gorilla TSDB, applied
-// to the bit-cast 64-bit value stream of one bin: a repeated value costs
-// one bit, a value sharing its predecessor's significant-bit window costs
-// 2 + window bits, anything else re-opens a window for 14 + window bits.
-std::vector<std::uint64_t> pack_updates_gorilla(
-    const std::vector<VertexUpdate>& updates) {
-  ByteWriter w(updates.size() * 6);
-  for (const VertexUpdate& u : updates) w.id(u.vertex);
-  std::uint64_t prev = 0;
-  int win_lead = -1, win_len = 0;  // no window open yet
-  for (std::size_t i = 0; i < updates.size(); ++i) {
-    const std::uint64_t v = updates[i].value;
-    if (i == 0) {
-      w.bits(v, 64);
-      prev = v;
-      continue;
-    }
-    const std::uint64_t x = v ^ prev;
-    prev = v;
-    if (x == 0) {
-      w.bits(0, 1);
-      continue;
-    }
-    w.bits(1, 1);
-    const int lead = std::countl_zero(x);
-    const int trail = std::countr_zero(x);
-    const int win_trail = 64 - win_lead - win_len;
-    if (win_lead >= 0 && lead >= win_lead && trail >= win_trail) {
-      w.bits(0, 1);
-      w.bits(x >> win_trail, win_len);
-    } else {
-      w.bits(1, 1);
-      w.bits(static_cast<std::uint64_t>(lead), 6);
-      const int len = 64 - lead - trail;
-      w.bits(static_cast<std::uint64_t>(len - 1), 6);
-      w.bits(x >> trail, len);
-      win_lead = lead;
-      win_len = len;
-    }
-  }
-  return w.finish(updates.size());
-}
-
+/// The raw [count, id/value pairs] payload behind `lead_words` zero words.
 std::vector<std::uint64_t> pack_updates_raw(
-    const std::vector<VertexUpdate>& updates) {
-  std::vector<std::uint64_t> words;
-  words.reserve(1 + updates.size() * 2);
-  words.push_back(updates.size());
+    std::span<const VertexUpdate> updates, std::size_t lead_words) {
+  std::vector<std::uint64_t> words(lead_words + 1 + updates.size() * 2);
+  words[lead_words] = updates.size();
+  std::size_t pos = lead_words + 1;
   for (const VertexUpdate& u : updates) {
-    words.push_back(u.vertex);
-    words.push_back(u.value);
+    words[pos++] = u.vertex;
+    words[pos++] = u.value;
   }
   return words;
 }
@@ -399,24 +439,24 @@ class UpdateCodec {
   Encoded encode(const std::vector<VertexUpdate>& bin,
                  ExchangeCounters& c) const {
     const std::uint64_t raw_bytes = bin.size() * record_bytes_;
-    if (encoding_ == Encoding::kRaw) return {pack_updates_raw(bin), raw_bytes};
+    if (encoding_ == Encoding::kRaw) {
+      return {pack_updates_raw(bin, 0), raw_bytes};
+    }
     // The encode kernel runs either way, so it is charged either way.
     c.encode_bytes += raw_bytes;
+    // Adaptive payloads lead with the flag word; its slot is left up front.
+    const std::size_t flag = adaptive_ ? 1 : 0;
     Encoded out;
     out.words = encoding_ == Encoding::kGorilla
-                    ? pack_updates_gorilla(bin)
-                    : pack_updates_compressed(bin, value_bias_);
-    out.bytes = out.words[1];  // encoded byte count
+                    ? encode_updates_gorilla(bin, flag)
+                    : encode_updates_compressed(bin, value_bias_, flag);
+    out.bytes = out.words[flag + 1];  // encoded byte count
     if (!adaptive_) return out;
     // Trial encode: ship whichever representation is smaller.
     const bool encoded_wins = out.bytes < raw_bytes;
-    if (!encoded_wins) out = {pack_updates_raw(bin), raw_bytes};
     if (!bin.empty()) ++(encoded_wins ? c.bins_compressed : c.bins_raw);
-    std::vector<std::uint64_t> flagged;
-    flagged.reserve(out.words.size() + 1);
-    flagged.push_back(encoded_wins ? 1 : 0);
-    flagged.insert(flagged.end(), out.words.begin(), out.words.end());
-    out.words = std::move(flagged);
+    if (!encoded_wins) return {pack_updates_raw(bin, 1), raw_bytes};
+    out.words[0] = 1;
     return out;
   }
 
@@ -1033,11 +1073,61 @@ void decode_updates_raw(std::span<const std::uint64_t> words,
   }
 }
 
+std::vector<std::uint64_t> encode_updates_compressed(
+    std::span<const VertexUpdate> updates, std::uint64_t value_bias,
+    std::size_t lead_words) {
+  return encode_stream(updates.size(), lead_words, [&](auto& w) {
+    for (const VertexUpdate& u : updates) {
+      w.id(u.vertex);
+      w.varint(u.value - value_bias);
+    }
+  });
+}
+
+// Gorilla: the XOR-vs-previous scheme of Facebook's Gorilla TSDB, applied
+// to the bit-cast 64-bit value stream of one bin: a repeated value costs
+// one bit, a value sharing its predecessor's significant-bit window costs
+// 2 + window bits, anything else re-opens a window for 14 + window bits.
+std::vector<std::uint64_t> encode_updates_gorilla(
+    std::span<const VertexUpdate> updates, std::size_t lead_words) {
+  return encode_stream(updates.size(), lead_words, [&](auto& w) {
+    for (const VertexUpdate& u : updates) w.id(u.vertex);
+    if (updates.empty()) return;
+    std::uint64_t prev = updates[0].value;
+    w.put(prev, 64);
+    int win_lead = -1, win_len = 0;  // no window open yet
+    for (const VertexUpdate& u : updates.subspan(1)) {
+      const std::uint64_t x = u.value ^ prev;
+      prev = u.value;
+      if (x == 0) {
+        w.put(0, 1);
+        continue;
+      }
+      const int lead = std::countl_zero(x);
+      const int trail = std::countr_zero(x);
+      const int win_trail = 64 - win_lead - win_len;
+      if (win_lead >= 0 && lead >= win_lead && trail >= win_trail) {
+        w.put(0b01, 2);  // '1' then '0', least significant first
+        w.put(x >> win_trail, win_len);
+      } else {
+        const int len = 64 - lead - trail;
+        // '1', '1', the 6-bit lead and the 6-bit length - 1 in one field.
+        w.put(0b11 | (static_cast<std::uint64_t>(lead) << 2) |
+                  (static_cast<std::uint64_t>(len - 1) << 8),
+              14);
+        w.put(x >> trail, len);
+        win_lead = lead;
+        win_len = len;
+      }
+    }
+  });
+}
+
 void decode_updates_compressed(std::span<const std::uint64_t> words,
                                std::uint64_t value_bias,
                                std::vector<VertexUpdate>& out) {
   // Every update encodes to at least two bytes (one per varint).
-  ByteReader r(words, "compressed", 2);
+  BitReader r(words, "compressed", 2);
   out.reserve(out.size() + r.count());
   for (std::uint64_t i = 0; i < r.count(); ++i) {
     const LocalId id = r.id();
@@ -1049,7 +1139,7 @@ void decode_updates_compressed(std::span<const std::uint64_t> words,
 void decode_updates_gorilla(std::span<const std::uint64_t> words,
                             std::vector<VertexUpdate>& out) {
   // Every update needs at least one id byte plus one value bit.
-  ByteReader r(words, "gorilla", 1);
+  BitReader r(words, "gorilla", 1);
   const std::size_t before = out.size();
   out.reserve(out.size() + r.count());
   for (std::uint64_t i = 0; i < r.count(); ++i) {
@@ -1069,8 +1159,9 @@ void decode_updates_gorilla(std::span<const std::uint64_t> words,
       }
       v = prev ^ (r.bits(win_len) << (64 - win_lead - win_len));
     } else {
-      win_lead = static_cast<int>(r.bits(6));
-      win_len = static_cast<int>(r.bits(6)) + 1;
+      const std::uint64_t header = r.bits(12);  // 6-bit lead, length - 1
+      win_lead = static_cast<int>(header & 63);
+      win_len = static_cast<int>(header >> 6) + 1;
       if (win_lead + win_len > 64) {
         throw DecodeError("gorilla window exceeds 64 bits");
       }

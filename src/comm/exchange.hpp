@@ -79,11 +79,11 @@ struct VertexUpdate {
   std::uint64_t value = 0;
 };
 
-// ---- wire decoders --------------------------------------------------------
-// Public so the malformed-payload corpus tests can drive them directly.
-// Every read is bounds-checked; truncated, over-long or inconsistent input
-// throws DecodeError instead of reading out of bounds or silently
-// truncating the result.
+// ---- wire encoders and decoders -------------------------------------------
+// Public so the golden-encoding and malformed-payload corpus tests can drive
+// them directly.  Every read is bounds-checked; truncated, over-long or
+// inconsistent input throws DecodeError instead of reading out of bounds or
+// silently truncating the result.
 
 /// Decode one id segment ([count, ids two per word]) starting at `pos`;
 /// advances `pos` past the segment.
@@ -93,6 +93,21 @@ void decode_ids(std::span<const std::uint64_t> words, std::size_t& pos,
 /// Decode a raw (uncompressed) update payload ([count, id/value pairs]).
 void decode_updates_raw(std::span<const std::uint64_t> words,
                         std::vector<VertexUpdate>& out);
+
+/// Delta+varint-encode `updates`: [count, byte_count, stream], the stream
+/// one little-endian bit stream in whole words holding each id as a zigzag
+/// varint delta from the previous id, then its value minus `value_bias`
+/// (mod 2^64) as a plain varint.  The payload starts after `lead_words`
+/// zero words left for the caller (the adaptive exchange's flag word).
+std::vector<std::uint64_t> encode_updates_compressed(
+    std::span<const VertexUpdate> updates, std::uint64_t value_bias,
+    std::size_t lead_words = 0);
+
+/// Gorilla-encode `updates`: the same header, every id as a zigzag varint
+/// delta, then the values as an XOR-vs-previous bit stream with
+/// leading/trailing-zero truncation.  `lead_words` as above.
+std::vector<std::uint64_t> encode_updates_gorilla(
+    std::span<const VertexUpdate> updates, std::size_t lead_words = 0);
 
 /// Decode a delta+varint compressed update payload ([count, byte_count,
 /// bytes packed LE]); `value_bias` is added back to every value (mod 2^64).

@@ -1071,6 +1071,13 @@ TEST(WireCorpus, CompressedUpdateHostileBuffers) {
                                               0x018080},
                    0, out),
                DecodeError);
+  // A ten-group varint whose last group carries bits above bit 63: id 0,
+  // then nine 0xFF groups and 0x7F.
+  EXPECT_THROW(decode_updates_compressed(
+                   std::vector<std::uint64_t>{1, 11, 0xFFFFFFFFFFFFFF00ULL,
+                                              0x7FFFFF},
+                   0, out),
+               DecodeError);
   // Declared bytes left over after `count` updates.
   EXPECT_THROW(decode_updates_compressed(
                    std::vector<std::uint64_t>{1, 4, 0x00000506}, 0, out),
@@ -1167,6 +1174,85 @@ TEST(WireCorpus, GorillaUpdateHostileBuffers) {
   EXPECT_EQ(out[1].value, std::bit_cast<std::uint64_t>(1.0));
 }
 
+/// splitmix64 over a fixed seed: the mutation corpora are fixed.
+struct SplitMix64 {
+  std::uint64_t state;
+  std::uint64_t operator()() {
+    std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+  }
+};
+
+/// One random bit-flip, truncation, extension or word-swap mutation.
+void mutate(std::vector<std::uint64_t>& w, SplitMix64& rng) {
+  switch (rng() % 4) {
+    case 0:  // bit flips
+      for (std::uint64_t k = 1 + rng() % 3; k > 0 && !w.empty(); --k) {
+        w[rng() % w.size()] ^= 1ULL << (rng() % 64);
+      }
+      break;
+    case 1:  // truncation
+      w.resize(rng() % (w.size() + 1));
+      break;
+    case 2:  // extension
+      for (std::uint64_t k = 1 + rng() % 3; k > 0; --k) {
+        w.push_back(rng() % 2 == 0 ? rng() % 256 : rng());
+      }
+      break;
+    default:  // word swap
+      if (w.size() >= 2) {
+        const std::size_t a = rng() % w.size();
+        std::swap(w[a], w[rng() % w.size()]);
+      }
+      break;
+  }
+}
+
+/// Contract of every decoder on any buffer: a typed DecodeError, or a
+/// decode yielding the declared count.
+void expect_decoders_keep_contract(const std::vector<std::uint64_t>& w) {
+  const auto expect_contract = [&w](const char* decoder,
+                                    const std::function<std::size_t()>& run) {
+    const std::uint64_t declared = w.empty() ? 0 : w[0];
+    try {
+      EXPECT_EQ(run(), declared) << decoder;
+    } catch (const DecodeError&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << decoder << " threw an untyped error: " << e.what();
+    }
+  };
+  expect_contract("decode_ids", [&] {
+    std::vector<LocalId> ids;
+    std::size_t pos = 0;
+    decode_ids(w, pos, ids);
+    return ids.size();
+  });
+  expect_contract("decode_updates_raw", [&] {
+    std::vector<VertexUpdate> out;
+    decode_updates_raw(w, out);
+    return out.size();
+  });
+  expect_contract("decode_updates_compressed", [&] {
+    std::vector<VertexUpdate> out;
+    decode_updates_compressed(w, 0, out);
+    return out.size();
+  });
+  expect_contract("decode_updates_gorilla", [&] {
+    std::vector<VertexUpdate> out;
+    decode_updates_gorilla(w, out);
+    return out.size();
+  });
+  try {
+    const auto payload = verify_frame(w);
+    EXPECT_EQ(payload.size(), w[0] & 0xffffffffULL);
+  } catch (const DecodeError&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "verify_frame threw an untyped error: " << e.what();
+  }
+}
+
 TEST(WireCorpus, SeededMutations) {
   // Valid corpus payloads of every format, plus their framed forms.
   std::vector<std::vector<std::uint64_t>> corpus = {
@@ -1179,76 +1265,193 @@ TEST(WireCorpus, SeededMutations) {
   for (std::size_t i = 0; i < payloads; ++i) {
     corpus.push_back(frame_payload(corpus[i]));
   }
-  // Contract: a typed DecodeError, or a decode yielding the declared count.
-  const auto expect_contract = [](const char* decoder,
-                                  const std::vector<std::uint64_t>& words,
-                                  const std::function<std::size_t()>& run) {
-    const std::uint64_t declared = words.empty() ? 0 : words[0];
-    try {
-      EXPECT_EQ(run(), declared) << decoder;
-    } catch (const DecodeError&) {
-    } catch (const std::exception& e) {
-      ADD_FAILURE() << decoder << " threw an untyped error: " << e.what();
-    }
-  };
-  std::uint64_t seed = 0x5EED;
-  const auto rng = [&seed] {  // splitmix64: fixed seed, fixed corpus
-    std::uint64_t z = (seed += 0x9E3779B97F4A7C15ULL);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
-  };
+  SplitMix64 rng{0x5EED};
   for (int round = 0; round < 4000; ++round) {
     std::vector<std::uint64_t> w = corpus[rng() % corpus.size()];
-    switch (rng() % 4) {
-      case 0:  // bit flips
-        for (std::uint64_t k = 1 + rng() % 3; k > 0 && !w.empty(); --k) {
-          w[rng() % w.size()] ^= 1ULL << (rng() % 64);
-        }
-        break;
-      case 1:  // truncation
-        w.resize(rng() % (w.size() + 1));
-        break;
-      case 2:  // extension
-        for (std::uint64_t k = 1 + rng() % 3; k > 0; --k) {
-          w.push_back(rng() % 2 == 0 ? rng() % 256 : rng());
-        }
-        break;
-      default:  // word swap
-        if (w.size() >= 2) {
-          const std::size_t a = rng() % w.size();
-          std::swap(w[a], w[rng() % w.size()]);
-        }
-        break;
+    mutate(w, rng);
+    expect_decoders_keep_contract(w);
+  }
+}
+
+// ---- golden encodings ------------------------------------------------------
+// Fixed-seed bins covering every branch of both encoders.  The digests were
+// captured from the byte-at-a-time codec the word-at-a-time one replaced,
+// so a pass means the wire did not move.
+
+/// PageRank-like contributions: ascending ids, doubles of a few nearby
+/// binades with random mantissas, about a quarter repeating their
+/// predecessor.  Built from integer bits only, so no float rounding mode or
+/// contraction can move the golden words.
+std::vector<VertexUpdate> pagerank_like_bin(std::uint64_t seed,
+                                            std::size_t n) {
+  SplitMix64 rng{seed};
+  std::vector<VertexUpdate> bin;
+  LocalId id = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    id += static_cast<LocalId>(1 + rng() % 40);
+    const std::uint64_t exponent = 1013 + rng() % 6;
+    std::uint64_t value = (exponent << 52) | (rng() & ((1ULL << 52) - 1));
+    if (i > 0 && rng() % 4 == 0) value = bin.back().value;
+    bin.push_back(VertexUpdate{id, value});
+  }
+  return bin;
+}
+
+/// SSSP-like lane words: four 16-bit distance lanes per word at or above
+/// `bias` in every lane, some lanes unreached (0xFFFF).
+std::vector<VertexUpdate> sssp_lane_bin(std::uint64_t seed, std::size_t n,
+                                        std::uint16_t bias) {
+  SplitMix64 rng{seed};
+  std::vector<VertexUpdate> bin;
+  LocalId id = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    id += static_cast<LocalId>(1 + rng() % 300);
+    std::uint64_t word = 0;
+    for (int lane = 0; lane < 4; ++lane) {
+      const std::uint64_t r = rng();
+      const std::uint64_t d = r % 5 == 0 ? 0xFFFF : bias + r % 900;
+      word |= d << (16 * lane);
     }
-    expect_contract("decode_ids", w, [&] {
-      std::vector<LocalId> ids;
-      std::size_t pos = 0;
-      decode_ids(w, pos, ids);
-      return ids.size();
-    });
-    expect_contract("decode_updates_raw", w, [&] {
-      std::vector<VertexUpdate> out;
-      decode_updates_raw(w, out);
-      return out.size();
-    });
-    expect_contract("decode_updates_compressed", w, [&] {
-      std::vector<VertexUpdate> out;
-      decode_updates_compressed(w, 0, out);
-      return out.size();
-    });
-    expect_contract("decode_updates_gorilla", w, [&] {
-      std::vector<VertexUpdate> out;
-      decode_updates_gorilla(w, out);
-      return out.size();
-    });
-    try {
-      const auto payload = verify_frame(w);
-      EXPECT_EQ(payload.size(), w[0] & 0xffffffffULL);
-    } catch (const DecodeError&) {
-    } catch (const std::exception& e) {
-      ADD_FAILURE() << "verify_frame threw an untyped error: " << e.what();
+    bin.push_back(VertexUpdate{id, word});
+  }
+  return bin;
+}
+
+struct GoldenBin {
+  const char* name;
+  std::vector<VertexUpdate> bin;
+  std::uint64_t value_bias;  // varint only; Gorilla takes none
+};
+
+std::vector<GoldenBin> golden_bins() {
+  std::vector<GoldenBin> out;
+  out.push_back({"pagerank_doubles", pagerank_like_bin(0xC0DEC, 300), 0});
+  // Repeats ('0'), window reuse ('10') and window re-opens ('11').
+  {
+    std::vector<VertexUpdate> bin;
+    const std::uint64_t xors[] = {0,           0,          0xF0ULL << 20,
+                                  0x30ULL << 20, 0x90ULL << 20, 0,
+                                  0x1ULL << 40, 0x3ULL << 40, 0x5ULL << 50,
+                                  0x7ULL << 50};
+    std::uint64_t v = std::bit_cast<std::uint64_t>(0.125);
+    for (LocalId i = 0; i < 40; ++i) {
+      v ^= xors[i % 10];
+      bin.push_back(VertexUpdate{3 * i, v});
     }
+    out.push_back({"repeats_and_window_reuse", bin, 0});
+  }
+  // x = 0x8000000000000001: lead 0, trail 0, a full 64-bit window, reused.
+  out.push_back({"window_lead0_len64",
+                 {{0, 0}, {1, 0x8000000000000001ULL}, {2, 0},
+                  {3, 0x8000000000000001ULL}, {4, ~0ULL}},
+                 0});
+  // x = 1: lead 63, a 1-bit window, then reused.
+  out.push_back({"window_lead63",
+                 {{5, 0}, {6, 1}, {7, 0}, {8, 1}, {9, 1}, {10, 0}}, 0});
+  out.push_back({"empty", {}, 0});
+  out.push_back({"single", {{7, std::bit_cast<std::uint64_t>(0.25)}}, 0});
+  // 57 one-byte id deltas (456 bits), a 64-bit first value and 56 repeat
+  // bits: the Gorilla stream fills exactly 9 words.
+  {
+    std::vector<VertexUpdate> bin;
+    for (LocalId i = 0; i < 57; ++i) bin.push_back(VertexUpdate{i, 42});
+    out.push_back({"gorilla_ends_on_word", bin, 0});
+  }
+  // Four one-byte id deltas and four one-byte values: the varint stream
+  // fills exactly one word.
+  out.push_back(
+      {"varint_ends_on_word", {{1, 5}, {2, 6}, {3, 7}, {4, 8}}, 0});
+  // Ids at the top of the 32-bit space, a descent to 0 and back (34-bit
+  // zigzag deltas), and 64-bit extreme values.
+  out.push_back({"ids_near_2pow32",
+                 {{0xFFFFFF00u, 1},
+                  {0xFFFFFFFEu, 0},
+                  {0xFFFFFFFFu, ~0ULL},
+                  {0, 1ULL << 63},
+                  {0xFFFFFFFFu, 2},
+                  {0x7FFFFFFFu, 0x0123456789ABCDEFULL}},
+                 0});
+  out.push_back({"sssp_lane_words", sssp_lane_bin(0x55, 250, 120),
+                 0x0078007800780078ULL});
+  return out;
+}
+
+TEST(WireCorpus, GoldenEncodings) {
+  struct Golden {
+    std::size_t words;
+    std::uint64_t bytes;
+    std::uint64_t digest;  // frame_checksum of the payload words
+  };
+  // {varint, gorilla} per bin of golden_bins(), in order.
+  const std::pair<Golden, Golden> expected[] = {
+      {{377, 3000, 0x7ded4c48fb840160ULL}, {239, 1895, 0x4d59a40a14d14bc7ULL}},
+      {{52, 400, 0x3bc369b5babf72ebULL}, {14, 91, 0x139f78900f9a51e8ULL}},
+      {{7, 37, 0x9fd55ed3742739f3ULL}, {8, 48, 0xa40880e32ba0df86ULL}},
+      {{4, 12, 0xc99628a7642bf9e5ULL}, {5, 18, 0x61a0d53cb1b09b8dULL}},
+      {{2, 0, 0x69da0f2b571338f4ULL}, {2, 0, 0x69da0f2b571338f4ULL}},
+      {{4, 10, 0x70d5fe1ec331e45cULL}, {4, 9, 0xb3f36da5c61fa9d2ULL}},
+      {{17, 114, 0x791af3baf400c47cULL}, {11, 72, 0xb4a985c44d6329caULL}},
+      {{3, 8, 0xff92a433cc4aa75fULL}, {5, 17, 0xea4daa16f2556e48ULL}},
+      {{9, 55, 0x8d17fad8fba9cde0ULL}, {11, 68, 0x436c1226e390da31ULL}},
+      {{337, 2680, 0x2c96863341ba21b2ULL}, {316, 2505, 0xd6c1904a870f501fULL}},
+  };
+  const std::vector<GoldenBin> bins = golden_bins();
+  ASSERT_EQ(bins.size(), std::size(expected));
+  const auto check = [](const char* name, const char* format,
+                        const std::vector<std::uint64_t>& words,
+                        const Golden& want) {
+    ASSERT_GE(words.size(), 2u) << name << " " << format;
+    EXPECT_EQ(words.size(), want.words) << name << " " << format;
+    EXPECT_EQ(words[1], want.bytes) << name << " " << format;
+    EXPECT_EQ(frame_checksum(words), want.digest) << name << " " << format;
+  };
+  for (std::size_t i = 0; i < bins.size(); ++i) {
+    const GoldenBin& g = bins[i];
+    const auto varint = encode_updates_compressed(g.bin, g.value_bias);
+    const auto gorilla = encode_updates_gorilla(g.bin);
+    check(g.name, "varint", varint, expected[i].first);
+    check(g.name, "gorilla", gorilla, expected[i].second);
+    // Both round-trip, and a leading flag slot shifts the payload intact.
+    std::vector<VertexUpdate> back;
+    decode_updates_compressed(varint, g.value_bias, back);
+    decode_updates_gorilla(gorilla, back);
+    ASSERT_EQ(back.size(), 2 * g.bin.size()) << g.name;
+    for (std::size_t k = 0; k < g.bin.size(); ++k) {
+      for (const VertexUpdate& got : {back[k], back[g.bin.size() + k]}) {
+        EXPECT_EQ(got.vertex, g.bin[k].vertex) << g.name << " record " << k;
+        EXPECT_EQ(got.value, g.bin[k].value) << g.name << " record " << k;
+      }
+    }
+    std::vector<std::uint64_t> flagged = {0};
+    flagged.insert(flagged.end(), gorilla.begin(), gorilla.end());
+    EXPECT_EQ(encode_updates_gorilla(g.bin, 1), flagged) << g.name;
+    flagged.resize(1);
+    flagged.insert(flagged.end(), varint.begin(), varint.end());
+    EXPECT_EQ(encode_updates_compressed(g.bin, g.value_bias, 1), flagged)
+        << g.name;
+  }
+}
+
+TEST(WireCorpus, SeededMutationsLargePayloads) {
+  // Valid multi-word payloads of both encoded formats (200+ records, so
+  // varints and Gorilla fields straddle word boundaries), plus their
+  // framed forms, under the same mutations and contract as above.
+  std::vector<std::vector<std::uint64_t>> corpus;
+  for (const auto& bin : {pagerank_like_bin(0xB16, 240),
+                          sssp_lane_bin(0xB17, 220, 0)}) {
+    ASSERT_GE(bin.size(), 200u);
+    corpus.push_back(encode_updates_compressed(bin, 0));
+    corpus.push_back(encode_updates_gorilla(bin));
+  }
+  const std::size_t payloads = corpus.size();
+  for (std::size_t i = 0; i < payloads; ++i) {
+    corpus.push_back(frame_payload(corpus[i]));
+  }
+  SplitMix64 rng{0x1A46E};
+  for (int round = 0; round < 4000; ++round) {
+    std::vector<std::uint64_t> w = corpus[rng() % corpus.size()];
+    mutate(w, rng);
+    expect_decoders_keep_contract(w);
   }
 }
 
