@@ -1,5 +1,6 @@
-// Microbenchmarks of the local-computation building blocks: visit kernels
-// (forward vs backward), bitset operations, and CSR traversal.  These back
+// Microbenchmarks of the local-computation building blocks: the lane
+// previsit and visit kernels (forward vs backward, W = 1 vs W = 64), bitset
+// operations, and CSR traversal.  These back
 // the DeviceModel calibration constants (ablation: merge vs dynamic load
 // balancing classes differ on real GPUs; here they quantify the host
 // substrate's functional cost).
@@ -66,71 +67,135 @@ void BM_BitsetCount(benchmark::State& state) {
 }
 BENCHMARK(BM_BitsetCount);
 
+// ---- lane kernels at W = 1 (the single-source BFS) and W = 64 -----------
+// Each kernel instantiation a run dispatches to: W = 1 is the compile-time
+// one-bit path, W = 64 the runtime-width path.  Inputs mark every lane of
+// the chosen items, so W = 64 does 64 lanes of work per item.
+
+/// The kernel instantiation a run of width `W` dispatches to.
+template <int W>
+constexpr int kKernelWidth = W == 1 ? 1 : util::kAnyWidth;
+
+template <int W>
+constexpr std::uint64_t kAllLanes = W == 64 ? ~0ULL : (1ULL << W) - 1;
+
+template <int W>
+core::LaneState make_state() {
+  core::LaneState s(fixture().dg.local(0), 1, W);
+  s.batch_mask = kAllLanes<W>;
+  return s;
+}
+
+template <int W>
 void BM_DelegatePrevisit(benchmark::State& state) {
   auto& f = fixture();
   for (auto _ : state) {
     state.PauseTiming();
-    core::GpuState s(f.dg.local(0), 1);
+    core::LaneState s = make_state<W>();
     for (LocalId t = 0; t < f.dg.num_delegates(); t += 4) {
-      s.delegate_new.set_unsynchronized(t);
+      s.delegate_new.or_lanes(t, kAllLanes<W>);
     }
     state.ResumeTiming();
-    core::delegate_previsit(s, {});
+    core::delegate_previsit_lanes<kKernelWidth<W>>(s);
     benchmark::DoNotOptimize(s.delegate_queue);
   }
 }
-BENCHMARK(BM_DelegatePrevisit);
+BENCHMARK_TEMPLATE(BM_DelegatePrevisit, 1);
+BENCHMARK_TEMPLATE(BM_DelegatePrevisit, 64);
 
+template <int W>
+void BM_NormalPrevisit(benchmark::State& state) {
+  // Fold one round of arrivals -- a sixteenth of the local normals, each
+  // arriving twice (the duplicate must be dropped) -- plus the dn visit's
+  // discoveries into the frontier.
+  auto& f = fixture();
+  const std::uint64_t n_local = f.dg.local(0).num_local_normals();
+  for (auto _ : state) {
+    state.PauseTiming();
+    core::LaneState s = make_state<W>();
+    for (std::uint64_t v = 0; v < n_local; v += 16) {
+      const auto id = static_cast<LocalId>(v);
+      for (int copy = 0; copy < 2; ++copy) {
+        if constexpr (W == 1) {
+          s.id_received.push_back(id);
+        } else {
+          s.received.push_back({id, kAllLanes<W>});
+        }
+      }
+    }
+    for (std::uint64_t v = 8; v < n_local; v += 64) {
+      s.next_normal.or_lanes(v, kAllLanes<W>);
+      s.next_local.push_back(static_cast<LocalId>(v));
+    }
+    state.ResumeTiming();
+    core::normal_previsit_lanes<kKernelWidth<W>>(s);
+    benchmark::DoNotOptimize(s.frontier);
+  }
+  state.SetLabel("arrival dedup + frontier formation");
+}
+BENCHMARK_TEMPLATE(BM_NormalPrevisit, 1);
+BENCHMARK_TEMPLATE(BM_NormalPrevisit, 64);
+
+template <int W>
 void BM_VisitDdForward(benchmark::State& state) {
   auto& f = fixture();
   for (auto _ : state) {
     state.PauseTiming();
-    core::GpuState s(f.dg.local(0), 1);
+    core::LaneState s = make_state<W>();
     for (LocalId t = 0; t < f.dg.num_delegates(); t += 8) {
+      s.delegate_new.or_lanes(t, kAllLanes<W>);
       s.delegate_queue.push_back(t);
     }
     state.ResumeTiming();
-    core::visit_dd(s);
+    core::visit_dd_lanes<kKernelWidth<W>>(s);
     benchmark::DoNotOptimize(s.delegate_out);
   }
   state.SetLabel("merge-class kernel (dd)");
 }
-BENCHMARK(BM_VisitDdForward);
+BENCHMARK_TEMPLATE(BM_VisitDdForward, 1);
+BENCHMARK_TEMPLATE(BM_VisitDdForward, 64);
 
+template <int W>
 void BM_VisitDdBackward(benchmark::State& state) {
   auto& f = fixture();
   for (auto _ : state) {
     state.PauseTiming();
-    core::GpuState s(f.dg.local(0), 1);
+    core::LaneState s = make_state<W>();
     // Mark a quarter of delegates visited; pull the rest.
     for (LocalId t = 0; t < f.dg.num_delegates(); t += 4) {
-      s.delegate_visited.set_unsynchronized(t);
+      s.delegate_visited.or_lanes(t, kAllLanes<W>);
     }
+    s.delegate_queue.push_back(0);  // a non-empty queue launches the pull
     s.dir_dd.update(1e18, 1.0, true);  // force backward
     state.ResumeTiming();
-    core::visit_dd(s);
+    core::visit_dd_lanes<kKernelWidth<W>>(s);
     benchmark::DoNotOptimize(s.delegate_out);
   }
   state.SetLabel("backward pull with early exit");
 }
-BENCHMARK(BM_VisitDdBackward);
+BENCHMARK_TEMPLATE(BM_VisitDdBackward, 1);
+BENCHMARK_TEMPLATE(BM_VisitDdBackward, 64);
 
+template <int W>
 void BM_VisitNnForward(benchmark::State& state) {
   auto& f = fixture();
   const std::uint64_t n_local = f.dg.local(0).num_local_normals();
   for (auto _ : state) {
     state.PauseTiming();
-    core::GpuState s(f.dg.local(0), 1);
+    core::LaneState s = make_state<W>();
     for (std::uint64_t v = 0; v < n_local; v += 16) {
+      s.frontier_normal.or_lanes(v, kAllLanes<W>);
       s.frontier.push_back(static_cast<LocalId>(v));
     }
     state.ResumeTiming();
-    core::visit_nn(s, f.spec);
+    core::visit_nn_lanes<kKernelWidth<W>>(s, f.spec);
     benchmark::DoNotOptimize(s.bins);
+    benchmark::DoNotOptimize(s.id_bins);
   }
   state.SetLabel("dynamic-class kernel (nn) + binning");
 }
-BENCHMARK(BM_VisitNnForward);
+BENCHMARK_TEMPLATE(BM_VisitNnForward, 1);
+BENCHMARK_TEMPLATE(BM_VisitNnForward, 64);
 
 void BM_CsrRowScan(benchmark::State& state) {
   auto& f = fixture();

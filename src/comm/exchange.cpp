@@ -821,11 +821,7 @@ std::vector<typename Codec::Record> multi_hop_exchange(
   int inter_hops = 0;
   if (nodes > 1) {
     if (butterfly) {
-      if ((nodes & (nodes - 1)) != 0 || nodes > 64) {
-        throw std::invalid_argument(
-            "butterfly exchange needs a power-of-two node count <= 64, got " +
-            std::to_string(nodes) + " nodes");
-      }
+      sim::check_routable(topology, nodes);
       while ((1 << inter_hops) < nodes) ++inter_hops;
     } else {
       inter_hops = 1;

@@ -14,18 +14,18 @@ namespace dsbfs::core {
 
 namespace {
 
-/// Batched BFS as engine phases: the shared LaneBfsRound, seeded with the
-/// whole batch at init, plus the per-lane parent completion.
-class BatchBfsAlgorithm : public LaneBfsRound {
+/// BFS as engine phases: the shared LaneBfsRound, seeded with the whole
+/// batch at init, plus the per-lane parent completion.
+class LaneBfsAlgorithm : public LaneBfsRound {
  public:
-  static constexpr const char* kStateLabel = "batch_bfs.state";
+  static constexpr const char* kStateLabel = "bfs.state";
 
   using State = LaneRoundState;
 
-  BatchBfsAlgorithm(const graph::DistributedGraph& graph,
-                    const BatchBfsOptions& options,
-                    std::span<const VertexId> sources, int lane_bits)
-      : LaneBfsRound(graph, options, lane_bits),
+  LaneBfsAlgorithm(const graph::DistributedGraph& graph,
+                   const BfsOptions& options, const LaneWire& wire,
+                   std::span<const VertexId> sources, int lane_bits)
+      : LaneBfsRound(graph, wire, lane_bits),
         options_(options),
         sources_(sources) {}
 
@@ -37,7 +37,7 @@ class BatchBfsAlgorithm : public LaneBfsRound {
     LaneState& s = state->gpu;
     const graph::LocalGraph& lg = s.graph();
     s.record_parents = options_.compute_parents;
-    s.direction_optimized = options_.direction == TraversalDirection::kHybrid;
+    s.direction_optimized = options_.direction_optimized;
     s.adaptive_direction = options_.adaptive_direction;
     s.dd_seed = options_.dd_factors;
     s.dn_seed = options_.dn_factors;
@@ -138,8 +138,13 @@ class BatchBfsAlgorithm : public LaneBfsRound {
         const int lane = lane_parent_probe_lane(words[i]);
         const Depth lvl = lane_parent_probe_level(words[i]);
         const std::size_t sl = s.slot(local, lane);
-        // Min over all senders one level up (see DistributedBfs::finalize):
-        // arrival order is topology-dependent, the id minimum is not.
+        // Min over all senders one level up, not first-sender-wins: probe
+        // arrival order depends on the exchange topology, the id minimum
+        // does not.  Eligible slots are unresolved nn discoveries
+        // (kParentViaNn) or already probe-resolved untagged ids; a
+        // delegate-claimed parent (tag bit set) keeps its deterministic
+        // claim.  A seeded source is safe: its level 0 never matches
+        // lvl + 1.
         const VertexId cur = s.parent_normal[sl];
         if ((cur == kParentViaNn || (cur & kParentDelegateTag) == 0) &&
             s.depth_normal[sl] == lvl + 1 && words[i + 1] < cur) {
@@ -181,19 +186,134 @@ class BatchBfsAlgorithm : public LaneBfsRound {
   }
 
  private:
-  const BatchBfsOptions& options_;
+  const BfsOptions& options_;
   std::span<const VertexId> sources_;
 };
 
+/// The BfsOptions a batch run is equivalent to: the traversal, engine and
+/// model choices (the wire goes through LaneWire).
+BfsOptions traversal_options(const BatchBfsOptions& o) {
+  BfsOptions t;
+  t.direction_optimized = o.direction == TraversalDirection::kHybrid;
+  t.overlap = o.overlap;
+  t.uniquify = o.uniquify;
+  t.exchange_topology = o.exchange_topology;
+  t.reduce_mode = o.reduce_mode;
+  t.dd_factors = o.dd_factors;
+  t.dn_factors = o.dn_factors;
+  t.nd_factors = o.nd_factors;
+  t.adaptive_direction = o.adaptive_direction;
+  t.collect_per_iteration = o.collect_per_iteration;
+  t.compute_parents = o.compute_parents;
+  t.device_model = o.device_model;
+  t.net_model = o.net_model;
+  t.resilience = o.resilience;
+  return t;
+}
+
+/// Decode a traversal-time parent encoding to a global vertex id.
+VertexId decode_parent(const graph::DistributedGraph& graph, VertexId enc) {
+  if ((enc & kParentDelegateTag) != 0 && enc != kParentNone &&
+      enc != kParentViaNn) {
+    return graph.delegates().vertex_of(
+        static_cast<LocalId>(enc & ~kParentDelegateTag));
+  }
+  return enc;
+}
+
 }  // namespace
+
+BatchBfsResult run_lane_bfs(const graph::DistributedGraph& graph,
+                            sim::Cluster& cluster, const BfsOptions& traversal,
+                            const LaneWire& wire,
+                            std::span<const VertexId> sources) {
+  const sim::ClusterSpec spec = graph.spec();
+  const int p = spec.total_gpus();
+  const int lane_bits = util::lane_width_for(sources.size());
+  const std::size_t num_lanes = sources.size();
+  const bool parents = traversal.compute_parents;
+
+  LaneBfsAlgorithm algo(graph, traversal, wire, sources, lane_bits);
+  engine::IterativeEngine<LaneBfsAlgorithm> engine(
+      graph, cluster,
+      {.overlap = traversal.overlap, .resilience = traversal.resilience});
+  auto run = engine.run(algo);
+
+  // ---- Gather per-lane distances (and parents) on the host. -------------
+  BatchBfsResult result;
+  result.lane_bits = lane_bits;
+  result.distances.resize(num_lanes);
+  for (auto& d : result.distances) d.assign(graph.num_vertices(), kUnvisited);
+  if (parents) {
+    result.parents.resize(num_lanes);
+    for (auto& pa : result.parents) {
+      pa.assign(graph.num_vertices(), kInvalidVertex);
+    }
+  }
+  for (int g = 0; g < p; ++g) {
+    const LaneState& s = run.state(g).gpu;
+    const sim::GpuCoord me = spec.coord_of(g);
+    const std::uint64_t n_local = graph.local(g).num_local_normals();
+    for (std::uint64_t v = 0; v < n_local; ++v) {
+      if (lane_bits == 1) {
+        // After the last round every claimed vertex is seen, so a depth
+        // other than kUnvisited marks the width-1 visited set.
+        const Depth d = s.depth_normal[v];
+        if (d == kUnvisited) continue;
+        const VertexId global = spec.global_vertex(me.rank, me.gpu, v);
+        result.distances[0][global] = d;
+        if (parents) {
+          result.parents[0][global] = decode_parent(graph, s.parent_normal[v]);
+        }
+        continue;
+      }
+      const std::uint64_t lanes = s.seen_normal.lanes(v);
+      if (lanes == 0) continue;
+      const VertexId global = spec.global_vertex(me.rank, me.gpu, v);
+      for (std::uint64_t b = lanes; b != 0; b &= b - 1) {
+        const int lane = std::countr_zero(b);
+        if (static_cast<std::size_t>(lane) >= num_lanes) continue;
+        const std::size_t sl = s.slot(v, lane);
+        result.distances[static_cast<std::size_t>(lane)][global] =
+            s.depth_normal[sl];
+        if (parents) {
+          result.parents[static_cast<std::size_t>(lane)][global] =
+              decode_parent(graph, s.parent_normal[sl]);
+        }
+      }
+    }
+  }
+  const LaneState& s0 = run.state(0).gpu;
+  for (LocalId t = 0; t < graph.num_delegates(); ++t) {
+    const std::uint64_t lanes = s0.delegate_visited.lanes(t);
+    if (lanes == 0) continue;
+    const VertexId global = graph.delegates().vertex_of(t);
+    for (std::uint64_t b = lanes; b != 0; b &= b - 1) {
+      const int lane = std::countr_zero(b);
+      if (static_cast<std::size_t>(lane) >= num_lanes) continue;
+      result.distances[static_cast<std::size_t>(lane)][global] =
+          s0.depth_delegate[s0.slot(t, lane)];
+      if (parents) {
+        result.parents[static_cast<std::size_t>(lane)][global] =
+            s0.parent_delegate[s0.slot(t, lane)].load(
+                std::memory_order_relaxed);
+      }
+    }
+  }
+
+  // ---- Model: one shared counter history, lane-scaled mask payload. -----
+  result.metrics = assemble_metrics(graph, traversal, std::move(run.histories),
+                                    run.measured_ms, lane_bits);
+  result.metrics.fault = run.fault;
+  return result;
+}
 
 DistributedBatchBfs::DistributedBatchBfs(const graph::DistributedGraph& graph,
                                          sim::Cluster& cluster,
                                          BatchBfsOptions options)
     : graph_(graph), cluster_(cluster), options_(options) {
-  engine::check_specs_match(graph, cluster);
-  // Fail at construction; the round validates again at its lane width.
-  comm::validate(LaneBfsRound::wire_options(options_, 1));
+  engine::check_facade_setup(graph, cluster, options_.exchange_topology);
+  comm::validate(LaneWire::of(options_).lanes);
 }
 
 VertexId DistributedBatchBfs::sample_source(std::uint64_t k) const {
@@ -209,84 +329,8 @@ BatchBfsResult DistributedBatchBfs::run(std::span<const VertexId> sources) {
       throw std::out_of_range("batch bfs source out of range");
     }
   }
-  const sim::ClusterSpec spec = graph_.spec();
-  const int p = spec.total_gpus();
-  const int lane_bits = util::lane_width_for(sources.size());
-  const std::size_t num_lanes = sources.size();
-
-  BatchBfsAlgorithm algo(graph_, options_, sources, lane_bits);
-  engine::IterativeEngine<BatchBfsAlgorithm> engine(
-      graph_, cluster_,
-      {.overlap = options_.overlap, .resilience = options_.resilience});
-  auto run = engine.run(algo);
-
-  // ---- Gather per-lane distances (and parents) on the host. -------------
-  BatchBfsResult result;
-  result.lane_bits = lane_bits;
-  result.distances.assign(num_lanes, std::vector<Depth>(graph_.num_vertices(),
-                                                        kUnvisited));
-  if (options_.compute_parents) {
-    result.parents.assign(
-        num_lanes, std::vector<VertexId>(graph_.num_vertices(),
-                                         kInvalidVertex));
-  }
-  for (int g = 0; g < p; ++g) {
-    const LaneState& s = run.state(g).gpu;
-    const sim::GpuCoord me = spec.coord_of(g);
-    const std::uint64_t n_local = graph_.local(g).num_local_normals();
-    for (std::uint64_t v = 0; v < n_local; ++v) {
-      const std::uint64_t lanes = s.seen_normal.lanes(v);
-      if (lanes == 0) continue;
-      const VertexId global = spec.global_vertex(me.rank, me.gpu, v);
-      for (std::uint64_t b = lanes; b != 0; b &= b - 1) {
-        const int lane = std::countr_zero(b);
-        if (static_cast<std::size_t>(lane) >= num_lanes) continue;
-        const std::size_t sl = s.slot(v, lane);
-        result.distances[static_cast<std::size_t>(lane)][global] =
-            s.depth_normal[sl];
-        if (options_.compute_parents) {
-          VertexId enc = s.parent_normal[sl];
-          if ((enc & kParentDelegateTag) != 0 && enc != kParentNone &&
-              enc != kParentViaNn) {
-            enc = graph_.delegates().vertex_of(
-                static_cast<LocalId>(enc & ~kParentDelegateTag));
-          }
-          result.parents[static_cast<std::size_t>(lane)][global] = enc;
-        }
-      }
-    }
-  }
-  const LaneState& s0 = run.state(0).gpu;
-  for (LocalId t = 0; t < graph_.num_delegates(); ++t) {
-    const std::uint64_t lanes = s0.delegate_visited.lanes(t);
-    if (lanes == 0) continue;
-    const VertexId global = graph_.delegates().vertex_of(t);
-    for (std::uint64_t b = lanes; b != 0; b &= b - 1) {
-      const int lane = std::countr_zero(b);
-      if (static_cast<std::size_t>(lane) >= num_lanes) continue;
-      result.distances[static_cast<std::size_t>(lane)][global] =
-          s0.depth_delegate[s0.slot(t, lane)];
-      if (options_.compute_parents) {
-        result.parents[static_cast<std::size_t>(lane)][global] =
-            s0.parent_delegate[s0.slot(t, lane)].load(
-                std::memory_order_relaxed);
-      }
-    }
-  }
-
-  // ---- Model: one shared counter history, lane-scaled mask payload. -----
-  BfsOptions equiv;
-  equiv.direction_optimized =
-      options_.direction == TraversalDirection::kHybrid;
-  equiv.overlap = options_.overlap;
-  equiv.reduce_mode = options_.reduce_mode;
-  equiv.collect_per_iteration = options_.collect_per_iteration;
-  equiv.device_model = options_.device_model;
-  equiv.net_model = options_.net_model;
-  result.metrics = assemble_metrics(graph_, equiv, std::move(run.histories),
-                                    run.measured_ms, lane_bits);
-  result.metrics.fault = run.fault;
-  return result;
+  return run_lane_bfs(graph_, cluster_, traversal_options(options_),
+                      LaneWire::of(options_), sources);
 }
 
 }  // namespace dsbfs::core

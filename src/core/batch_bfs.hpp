@@ -12,19 +12,21 @@
 
 /// Batched multi-source BFS (MS-BFS style) on the degree-separated
 /// substrate -- the lane-generalized traversal the paper's Section VI-D
-/// framework sketch leaves open.
+/// framework sketch leaves open, and the one BFS stack of this library:
+/// DistributedBfs is the same run with one source.
 ///
 /// One engine run advances up to 64 sources in lockstep: every vertex's
 /// visited state is a W-bit lane word (util::LaneBitset, W in {1, 8, 32,
 /// 64} chosen from the batch size), the delegate mask reduction ORs d*W/8
 /// bytes per round instead of d/8, and the normal exchange ships (id,
 /// lane-word) updates through the same uniquify/compress machinery the
-/// value algorithms use (UpdateCombine::kOr, W/8-byte values on the wire,
-/// bare 4-byte ids at W = 1).  The payoff is amortization: one sweep of
-/// every adjacency row, one reduction and one exchange serve all W sources,
-/// so the modeled cost per source drops well below a single-source run --
-/// the serving-throughput lever for landmark/sketch workloads
-/// (examples/landmark_distance_index.cpp).
+/// value algorithms use (UpdateCombine::kOr, W/8-byte values on the wire).
+/// At W = 1 the kernels are the compile-time one-bit instantiation and the
+/// records are bare 4-byte ids on the id exchange.  The payoff is
+/// amortization: one sweep of every adjacency row, one reduction and one
+/// exchange serve all W sources, so the modeled cost per source drops well
+/// below a single-source run -- the serving-throughput lever for
+/// landmark/sketch workloads (examples/landmark_distance_index.cpp).
 ///
 /// Traversal direction: forced push by default, with an opt-in hybrid
 /// (BatchBfsOptions::direction) that generalizes the paper's
@@ -36,12 +38,10 @@
 /// estimate scales the remaining-unvisited pull mass by the live-lane
 /// population (core::lane_backward_workload) -- a pull candidate early-exits
 /// per lane, so the expected scan grows only harmonically in the number of
-/// live lanes.  At W = 1 forced push is the forced-push DistributedBfs in
-/// the full modeled breakdown (tests assert this).  Hybrid at W = 1 matches
-/// DistributedBfs in iterations, per-round direction decisions, edges and
-/// wire bytes, but its FV/BV estimation is fused into the queue scans, so
-/// it charges no separate decision launches and less modeled computation
-/// (7.02 vs 7.85 ms over 8 RMAT-18 roots).
+/// live lanes.  Above W = 1 the FV/BV estimation is fused into the queue
+/// scans and charges no separate decision launches; a one-source batch is
+/// the single-source BFS (forced push or DOBFS) in every counter and
+/// modeled category, decision launches included.
 namespace dsbfs::core {
 
 struct BatchBfsOptions {

@@ -587,7 +587,7 @@ DistributedBatchSssp::DistributedBatchSssp(
     const graph::DistributedGraph& graph, sim::Cluster& cluster,
     BatchSsspOptions options)
     : graph_(graph), cluster_(cluster), options_(options) {
-  engine::check_specs_match(graph, cluster);
+  engine::check_facade_setup(graph, cluster, options_.exchange_topology);
   if (options_.delta == 0) {
     throw std::invalid_argument("batch_sssp delta must be at least 1");
   }

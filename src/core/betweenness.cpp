@@ -709,7 +709,7 @@ BetweennessCentrality::BetweennessCentrality(
     const graph::DistributedGraph& graph, sim::Cluster& cluster,
     BetweennessOptions options)
     : graph_(graph), cluster_(cluster), options_(options) {
-  engine::check_specs_match(graph, cluster);
+  engine::check_facade_setup(graph, cluster, options_.exchange_topology);
 }
 
 BetweennessResult BetweennessCentrality::run(

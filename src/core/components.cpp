@@ -209,7 +209,7 @@ ConnectedComponents::ConnectedComponents(const graph::DistributedGraph& graph,
                                          sim::Cluster& cluster,
                                          CcOptions options)
     : graph_(graph), cluster_(cluster), options_(options) {
-  engine::check_specs_match(graph, cluster);
+  engine::check_facade_setup(graph, cluster, options_.exchange_topology);
   comm::validate(wire_options(options_));
 }
 

@@ -2,113 +2,6 @@
 
 namespace dsbfs::core {
 
-GpuState::GpuState(const graph::LocalGraph& graph, int total_gpus)
-    : graph_(&graph) {
-  const std::uint64_t n_local = graph.num_local_normals();
-  level_normal_ = std::make_unique<std::atomic<Depth>[]>(n_local);
-  for (std::uint64_t v = 0; v < n_local; ++v) {
-    level_normal_[v].store(kUnvisited, std::memory_order_relaxed);
-  }
-  delegate_visited.resize(graph.num_delegates());
-  delegate_out.resize(graph.num_delegates());
-  delegate_new.resize(graph.num_delegates());
-  level_delegate.assign(graph.num_delegates(), kUnvisited);
-
-  parent_normal.assign(n_local, kParentNone);
-  parent_delegate = std::make_unique<std::atomic<VertexId>[]>(
-      graph.num_delegates());
-  for (LocalId t = 0; t < graph.num_delegates(); ++t) {
-    parent_delegate[t].store(kParentNone, std::memory_order_relaxed);
-  }
-
-  dir_dd = DirectionState{};
-  dir_dn = DirectionState{};
-  dir_nd = DirectionState{};
-  unvisited_nd_sources = graph.nd_source_count();
-  unvisited_dd_sources = graph.dd_source_count();
-  unvisited_dn_sources = graph.dn_source_count();
-
-  bins.resize(static_cast<std::size_t>(total_gpus));
-}
-
-void GpuState::begin_iteration() {
-  iter = sim::GpuIterationCounters{};
-  delegate_queue.clear();
-  frontier.clear();
-}
-
-void GpuState::end_iteration() {
-  // next_local and received carry the next iteration's frontier inputs; the
-  // next normal previsit consumes and clears them.
-  delegate_out.clear_all();
-}
-
-GpuSnapshot GpuState::save() const {
-  GpuSnapshot s;
-  const std::uint64_t n_local = graph_->num_local_normals();
-  s.level_normal.resize(n_local);
-  for (std::uint64_t v = 0; v < n_local; ++v) {
-    s.level_normal[v] = level_normal_[v].load(std::memory_order_relaxed);
-  }
-  s.frontier = frontier;
-  s.next_local = next_local;
-  s.received = received;
-  s.delegate_visited = delegate_visited;
-  s.delegate_out = delegate_out;
-  s.delegate_new = delegate_new;
-  s.level_delegate = level_delegate;
-  s.delegate_queue = delegate_queue;
-  s.dir_dd = dir_dd;
-  s.dir_dn = dir_dn;
-  s.dir_nd = dir_nd;
-  s.controller = controller;
-  s.unvisited_nd_sources = unvisited_nd_sources;
-  s.unvisited_dd_sources = unvisited_dd_sources;
-  s.unvisited_dn_sources = unvisited_dn_sources;
-  s.fv_dd = fv_dd; s.fv_dn = fv_dn; s.fv_nd = fv_nd;
-  s.bv_dd = bv_dd; s.bv_dn = bv_dn; s.bv_nd = bv_nd;
-  s.bins = bins;
-  s.parent_normal = parent_normal;
-  const LocalId d = graph_->num_delegates();
-  s.parent_delegate.resize(d);
-  for (LocalId t = 0; t < d; ++t) {
-    s.parent_delegate[t] = parent_delegate[t].load(std::memory_order_relaxed);
-  }
-  s.depth = depth;
-  return s;
-}
-
-void GpuState::restore(const GpuSnapshot& s) {
-  const std::uint64_t n_local = graph_->num_local_normals();
-  for (std::uint64_t v = 0; v < n_local; ++v) {
-    level_normal_[v].store(s.level_normal[v], std::memory_order_relaxed);
-  }
-  frontier = s.frontier;
-  next_local = s.next_local;
-  received = s.received;
-  delegate_visited = s.delegate_visited;
-  delegate_out = s.delegate_out;
-  delegate_new = s.delegate_new;
-  level_delegate = s.level_delegate;
-  delegate_queue = s.delegate_queue;
-  dir_dd = s.dir_dd;
-  dir_dn = s.dir_dn;
-  dir_nd = s.dir_nd;
-  controller = s.controller;
-  unvisited_nd_sources = s.unvisited_nd_sources;
-  unvisited_dd_sources = s.unvisited_dd_sources;
-  unvisited_dn_sources = s.unvisited_dn_sources;
-  fv_dd = s.fv_dd; fv_dn = s.fv_dn; fv_nd = s.fv_nd;
-  bv_dd = s.bv_dd; bv_dn = s.bv_dn; bv_nd = s.bv_nd;
-  bins = s.bins;
-  parent_normal = s.parent_normal;
-  const LocalId d = graph_->num_delegates();
-  for (LocalId t = 0; t < d; ++t) {
-    parent_delegate[t].store(s.parent_delegate[t], std::memory_order_relaxed);
-  }
-  depth = s.depth;
-}
-
 LaneState::LaneState(const graph::LocalGraph& graph, int total_gpus,
                      int lane_bits)
     : graph_(&graph), lane_bits_(lane_bits) {
@@ -137,14 +30,18 @@ LaneState::LaneState(const graph::LocalGraph& graph, int total_gpus,
   unvisited_dd_sources = graph.dd_source_count();
   unvisited_dn_sources = graph.dn_source_count();
 
-  bins.resize(static_cast<std::size_t>(total_gpus));
+  if (lane_bits == 1) {
+    id_bins.resize(static_cast<std::size_t>(total_gpus));
+  } else {
+    bins.resize(static_cast<std::size_t>(total_gpus));
+  }
 }
 
 void LaneState::begin_iteration() {
   iter = sim::GpuIterationCounters{};
   delegate_queue.clear();
   frontier.clear();
-  frontier_normal.clear_all();
+  if (lane_bits_ > 1) frontier_normal.clear_all();  // unused at W = 1
 }
 
 void LaneState::end_iteration() {
@@ -161,6 +58,7 @@ LaneSnapshot LaneState::save() const {
   s.frontier = frontier;
   s.next_local = next_local;
   s.received = received;
+  s.id_received = id_received;
   s.depth_normal = depth_normal;
   s.delegate_visited = delegate_visited;
   s.delegate_out = delegate_out;
@@ -180,6 +78,7 @@ LaneSnapshot LaneState::save() const {
   s.fv_dd = fv_dd; s.fv_dn = fv_dn; s.fv_nd = fv_nd;
   s.bv_dd = bv_dd; s.bv_dn = bv_dn; s.bv_nd = bv_nd;
   s.bins = bins;
+  s.id_bins = id_bins;
   s.parent_normal = parent_normal;
   const std::size_t slots = static_cast<std::size_t>(graph_->num_delegates()) *
                             static_cast<std::size_t>(lane_bits_);
@@ -198,6 +97,7 @@ void LaneState::restore(const LaneSnapshot& s) {
   frontier = s.frontier;
   next_local = s.next_local;
   received = s.received;
+  id_received = s.id_received;
   depth_normal = s.depth_normal;
   delegate_visited = s.delegate_visited;
   delegate_out = s.delegate_out;
@@ -217,6 +117,7 @@ void LaneState::restore(const LaneSnapshot& s) {
   fv_dd = s.fv_dd; fv_dn = s.fv_dn; fv_nd = s.fv_nd;
   bv_dd = s.bv_dd; bv_dn = s.bv_dn; bv_nd = s.bv_nd;
   bins = s.bins;
+  id_bins = s.id_bins;
   parent_normal = s.parent_normal;
   const std::size_t slots = static_cast<std::size_t>(graph_->num_delegates()) *
                             static_cast<std::size_t>(lane_bits_);

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -11,22 +12,22 @@
 #include "sim/perf_model.hpp"
 #include "util/bitset.hpp"
 
-/// Per-GPU traversal state: GpuState for single-source traversals, its
-/// lane-generalized sibling LaneState for batched (multi-source) ones.
+/// Per-GPU traversal state of the BFS: LaneState, one lane-word per item.
+/// A single-source run is the width-1 case (one bit per item, bare 4-byte
+/// ids on the wire); a batched run gives each of up to 64 sources a lane.
 ///
 /// Level/visited conventions (see DESIGN.md "Iteration/level semantics"):
 /// iteration `depth` expands the distance-`depth` frontier; every discovery
-/// is assigned distance `depth + 1`.  During visits, `delegate_visited` and
-/// `level_normal` entries <= depth form a *stable snapshot*: kernels write
-/// new discoveries to `delegate_out` / CAS `level_normal` with depth+1 only,
-/// so backward pulls never observe same-iteration discoveries as parents.
+/// is assigned distance `depth + 1`.  During visits, `seen_normal` and
+/// `delegate_visited` form a *stable snapshot*: kernels write new
+/// discoveries to `next_normal` / `delegate_out` only, so backward pulls
+/// never observe same-iteration discoveries as parents.
 namespace dsbfs::core {
 
 /// Control-word packing for the per-iteration termination allreduce of the
 /// traversal algorithms: bit 40+ carries "some GPU has delegate updates",
 /// the low bits carry the amount of new normal work (local discoveries +
-/// binned vertices).  Shared by DistributedBfs and DistributedBatchBfs so
-/// their control words stay comparable at lane width 1.
+/// binned vertices).
 inline constexpr std::uint64_t kDelegateFlagUnit = 1ULL << 40;
 
 /// Parent encodings used during traversal (decoded at gather time).
@@ -37,138 +38,10 @@ inline constexpr VertexId kParentViaNn = kInvalidVertex - 1;
 /// Tag bit: the low bits are a delegate id, not a global vertex id.
 inline constexpr VertexId kParentDelegateTag = 1ULL << 62;
 
-/// Value copy of everything a traversal iteration mutates in a GpuState
-/// (epoch checkpoint for rollback recovery).  The atomic level/parent
-/// arrays are captured as plain vectors; run constants (graph pointer,
-/// record_parents, bins' outer shape) are not part of the snapshot.
-struct GpuSnapshot {
-  std::vector<Depth> level_normal;
-  std::vector<LocalId> frontier, next_local, received;
-  util::AtomicBitset delegate_visited, delegate_out, delegate_new;
-  std::vector<Depth> level_delegate;
-  std::vector<LocalId> delegate_queue;
-  DirectionState dir_dd, dir_dn, dir_nd;
-  DirectionController controller;
-  std::uint64_t unvisited_nd_sources = 0;
-  std::uint64_t unvisited_dd_sources = 0;
-  std::uint64_t unvisited_dn_sources = 0;
-  double fv_dd = 0, fv_dn = 0, fv_nd = 0;
-  double bv_dd = 0, bv_dn = 0, bv_nd = 0;
-  std::vector<std::vector<LocalId>> bins;
-  std::vector<VertexId> parent_normal;
-  std::vector<VertexId> parent_delegate;
-  Depth depth = 0;
-};
-
-class GpuState {
- public:
-  GpuState(const graph::LocalGraph& graph, int total_gpus);
-
-  const graph::LocalGraph& graph() const noexcept { return *graph_; }
-
-  // --- normal vertices -------------------------------------------------
-  Depth normal_level(LocalId v) const noexcept {
-    return level_normal_[v].load(std::memory_order_relaxed);
-  }
-  void set_normal_level(LocalId v, Depth d) noexcept {
-    level_normal_[v].store(d, std::memory_order_relaxed);
-  }
-  /// Atomically claim an unvisited vertex; true when this call visited it.
-  bool claim_normal(LocalId v, Depth d) noexcept {
-    Depth expected = kUnvisited;
-    return level_normal_[v].compare_exchange_strong(expected, d,
-                                                    std::memory_order_relaxed);
-  }
-
-  std::vector<LocalId> frontier;    // distance == depth, expanded this iter
-  std::vector<LocalId> next_local;  // dn-visit discoveries (distance depth+1)
-  std::vector<LocalId> received;    // exchange arrivals (marked next previsit)
-
-  // --- delegates --------------------------------------------------------
-  util::AtomicBitset delegate_visited;  // stable within an iteration
-  util::AtomicBitset delegate_out;      // this iteration's updates
-  util::AtomicBitset delegate_new;      // became visited at last extract
-  std::vector<Depth> level_delegate;
-  std::vector<LocalId> delegate_queue;  // delegate frontier this iteration
-
-  // --- direction optimization -------------------------------------------
-  DirectionState dir_dd, dir_dn, dir_nd;
-  /// Online factor self-tuning (BfsOptions::adaptive_direction); observes
-  /// this GPU's kernel counters at end_iteration, re-seeds the factors each
-  /// previsit.
-  DirectionController controller;
-  // Unvisited-source pools (decremented as vertices become visited).
-  std::uint64_t unvisited_nd_sources = 0;  // normals with nd edges
-  std::uint64_t unvisited_dd_sources = 0;  // delegates with dd edges
-  std::uint64_t unvisited_dn_sources = 0;  // delegates with dn edges
-  // Forward workloads computed by the previsit.
-  double fv_dd = 0, fv_dn = 0, fv_nd = 0;
-  double bv_dd = 0, bv_dn = 0, bv_nd = 0;
-
-  // --- exchange ----------------------------------------------------------
-  std::vector<std::vector<LocalId>> bins;  // per destination global GPU
-
-  // --- BFS tree (optional; see DistributedBfs::run) -----------------------
-  bool record_parents = false;
-  /// Per local normal vertex: encoded parent (kParent* conventions).
-  std::vector<VertexId> parent_normal;
-  /// Per delegate: this GPU's locally-known parent candidate as a *global*
-  /// vertex id (UINT64_MAX = none); min-reduced across GPUs at the end.
-  std::unique_ptr<std::atomic<VertexId>[]> parent_delegate;
-
-  void set_delegate_parent(LocalId delegate, VertexId parent_vertex) noexcept {
-    // Min over encoded candidates (CAS loop).  Every candidate recorded in
-    // an iteration is a valid parent (all at the frontier depth), but the
-    // dd (delegate-stream) and nd (normal-stream) visits race on this slot;
-    // taking the encoding-order minimum makes the surviving candidate
-    // independent of the stream schedule, so parents are bit-stable
-    // run-to-run and across exchange topologies.  (Untagged global ids sort
-    // below kParentDelegateTag-encoded ones, so normal parents win ties.)
-    auto& slot = parent_delegate[delegate];
-    VertexId cur = slot.load(std::memory_order_relaxed);
-    while (parent_vertex < cur &&
-           !slot.compare_exchange_weak(cur, parent_vertex,
-                                       std::memory_order_relaxed)) {
-    }
-  }
-
-  // --- bookkeeping --------------------------------------------------------
-  Depth depth = 0;
-  sim::GpuIterationCounters iter;  // current iteration (history is kept by
-                                   // the IterativeEngine)
-
-  /// Reset iteration-scoped scratch (bins stay allocated).
-  void begin_iteration();
-  /// Close the iteration (clears the delegate out-mask; `iter` stays valid
-  /// until the next begin_iteration so the engine can snapshot it).
-  void end_iteration();
-
-  /// Epoch checkpoint / rollback restore (taken at iteration boundaries,
-  /// when no visit kernels are in flight).
-  GpuSnapshot save() const;
-  void restore(const GpuSnapshot& snap);
-
- private:
-  const graph::LocalGraph* graph_;
-  std::unique_ptr<std::atomic<Depth>[]> level_normal_;
-};
-
-/// Per-GPU state of a batched multi-source traversal (MS-BFS style): the
-/// lane-generalized GpuState.  Lane l of every mask and per-lane array
-/// belongs to source l of the batch; all lanes advance in lockstep through
-/// the same level-synchronous iterations, so one sweep of the
-/// degree-separated subgraphs (and one mask reduction, and one exchange)
-/// serves every source at once.
-///
-/// The single-source level arrays generalize to (item, lane)-indexed depth
-/// arrays plus visited lane masks; the bit-claim that GpuState expresses as
-/// a level CAS becomes an atomic lane-word fetch_or whose return value
-/// identifies the newly claimed lanes.  The same stable-snapshot rule
-/// applies: `seen_normal` and `delegate_visited` only change between
-/// iterations (previsit / post-reduce), never during visits, which write
-/// `next_normal` / `delegate_out` instead.
-/// Value copy of everything a batched-traversal iteration mutates in a
-/// LaneState (lane-generalized GpuSnapshot).
+/// Value copy of everything an iteration mutates in a LaneState (epoch
+/// checkpoint for rollback recovery).  The atomic parent slots are captured
+/// as plain words; run constants (graph pointer, record_parents, the bins'
+/// outer shape) are not part of the snapshot.
 struct LaneSnapshot {
   util::LaneBitset seen_normal, frontier_normal, next_normal;
   std::vector<LocalId> frontier, next_local;
@@ -186,11 +59,39 @@ struct LaneSnapshot {
   double fv_dd = 0, fv_dn = 0, fv_nd = 0;
   double bv_dd = 0, bv_dn = 0, bv_nd = 0;
   std::vector<std::vector<comm::VertexUpdate>> bins;
+  std::vector<std::vector<LocalId>> id_bins;
+  std::vector<LocalId> id_received;
   std::vector<VertexId> parent_normal;
   std::vector<VertexId> parent_delegate;
   Depth depth = 0;
 };
 
+/// Call `fn(lane)` for every set lane of a nonzero lane word.  At W = 1
+/// the only lane is 0: no bit walk.
+template <int W, typename Fn>
+inline void for_each_lane(std::uint64_t word, Fn&& fn) {
+  if constexpr (W == 1) {
+    fn(0);
+  } else {
+    for (std::uint64_t b = word; b != 0; b &= b - 1) fn(std::countr_zero(b));
+  }
+}
+
+/// Per-GPU state of a lane traversal (MS-BFS style).  Lane l of every mask
+/// and per-lane array belongs to source l of the batch; all lanes advance
+/// in lockstep through the same level-synchronous iterations, so one sweep
+/// of the degree-separated subgraphs (and one mask reduction, and one
+/// exchange) serves every source at once.
+///
+/// The visited state is an (item, lane)-indexed depth array plus visited
+/// lane masks; a claim is a lane-word OR whose previous value identifies
+/// the newly claimed lanes.  `seen_normal` and `delegate_visited` only
+/// change between iterations (previsit / post-reduce), never during visits,
+/// which write `next_normal` / `delegate_out` instead.
+///
+/// The hot accessors take the lane width as a template argument (see
+/// util::LaneBitset): the kernels are instantiated at W = 1 and at the
+/// runtime width, and a run picks one set once.
 class LaneState {
  public:
   LaneState(const graph::LocalGraph& graph, int total_gpus, int lane_bits);
@@ -199,20 +100,29 @@ class LaneState {
   int lane_bits() const noexcept { return lane_bits_; }
 
   /// Flat index of (item, lane) in the per-lane depth/parent arrays.
+  template <int W = util::kAnyWidth>
   std::size_t slot(std::size_t item, int lane) const noexcept {
-    return item * static_cast<std::size_t>(lane_bits_) +
-           static_cast<std::size_t>(lane);
+    if constexpr (W == 1) {
+      return item;
+    } else {
+      return item * static_cast<std::size_t>(lane_bits_) +
+             static_cast<std::size_t>(lane);
+    }
   }
 
   // --- normal vertices -------------------------------------------------
   util::LaneBitset seen_normal;      // visited lanes; stable within an iter
   util::LaneBitset frontier_normal;  // lanes expanded this iteration
+                                     // (unused at W = 1: every word is 1)
   util::LaneBitset next_normal;      // dn-visit discoveries (depth + 1)
   std::vector<LocalId> frontier;     // items with nonzero frontier lanes
   std::vector<LocalId> next_local;   // items first touched by the dn visit
   /// Exchange arrivals: (destination-local id, lane word) updates, folded
-  /// into the frontier at the next normal previsit.
+  /// into the frontier at the next normal previsit.  Width 1 uses
+  /// `id_received` instead: the single lane is implicit, so an arrival is
+  /// the bare id.
   std::vector<comm::VertexUpdate> received;
+  std::vector<LocalId> id_received;
   std::vector<Depth> depth_normal;   // indexed by slot(v, lane)
 
   // --- delegates --------------------------------------------------------
@@ -222,13 +132,13 @@ class LaneState {
   std::vector<Depth> depth_delegate;  // indexed by slot(t, lane)
   std::vector<LocalId> delegate_queue;
 
-  // --- direction optimization (BatchBfsOptions::direction == kHybrid) -----
-  // The lane generalization of GpuState's machinery: one DirectionState per
-  // switchable kernel deciding for the *union* frontier (one pull sweep
-  // serves every live lane), unvisited pools counting items untouched in
-  // every lane (== the single-source pools at W = 1), and the constant
-  // all-active-lanes word the pull kernels mask their candidates with.
-  bool direction_optimized = false;   // kHybrid
+  // --- direction optimization ---------------------------------------------
+  // One DirectionState per switchable kernel deciding for the *union*
+  // frontier (one pull sweep serves every live lane), unvisited pools
+  // counting items untouched in every lane (the single-source pools at
+  // W = 1), and the all-active-lanes word the pull kernels mask their
+  // candidates with.
+  bool direction_optimized = false;
   bool adaptive_direction = false;
   DirectionState dir_dd, dir_dn, dir_nd;
   DirectionController controller;
@@ -244,23 +154,32 @@ class LaneState {
   double bv_dd = 0, bv_dn = 0, bv_nd = 0;
 
   // --- exchange ----------------------------------------------------------
-  std::vector<std::vector<comm::VertexUpdate>> bins;  // per dest global GPU
+  // Per destination global GPU: (id, lane word) records, or at width 1 the
+  // bare destination-local ids.
+  std::vector<std::vector<comm::VertexUpdate>> bins;
+  std::vector<std::vector<LocalId>> id_bins;
 
   // --- BFS trees (optional; one per lane) --------------------------------
   bool record_parents = false;
   /// Per (local normal, lane): encoded parent (kParent* conventions).
   std::vector<VertexId> parent_normal;
   /// Per (delegate, lane): locally-known candidate (kParentDelegateTag
-  /// encoding); min-reduced across GPUs at the end of the run.  Atomic for
-  /// the same reason as GpuState's: the dd (delegate-stream) and nd
-  /// (normal-stream) visits may both record a candidate for the same slot.
+  /// encoding); min-reduced across GPUs at the end of the run.  Atomic
+  /// because the dd (delegate-stream) and nd (normal-stream) visits may
+  /// both record a candidate for the same slot.
   std::unique_ptr<std::atomic<VertexId>[]> parent_delegate;
 
+  template <int W = util::kAnyWidth>
   void set_delegate_parent(LocalId delegate, int lane,
                            VertexId parent_vertex) noexcept {
-    // Min over encoded candidates, as in GpuState::set_delegate_parent:
-    // deterministic regardless of which stream records first.
-    auto& sl = parent_delegate[slot(delegate, lane)];
+    // Min over encoded candidates (CAS loop).  Every candidate recorded in
+    // an iteration is a valid parent (all at the frontier depth), but the
+    // two streams race on this slot; taking the encoding-order minimum
+    // makes the surviving candidate independent of the stream schedule, so
+    // parents are bit-stable run-to-run and across exchange topologies.
+    // (Untagged global ids sort below kParentDelegateTag-encoded ones, so
+    // normal parents win ties.)
+    auto& sl = parent_delegate[slot<W>(delegate, lane)];
     VertexId cur = sl.load(std::memory_order_relaxed);
     while (parent_vertex < cur &&
            !sl.compare_exchange_weak(cur, parent_vertex,

@@ -4,17 +4,17 @@
 
 #include "util/types.hpp"
 
-/// Wire packing of the end-of-run parent-exchange tuples (paper Section
+/// Wire packing of the end-of-run parent-exchange probes (paper Section
 /// VI-A3).
 ///
-/// Traversal sends bare 4-byte local ids (visit_nn), so nn-discovered
-/// vertices learn their parent in one extra exchange of
-/// (destination local id, sender level) probes.  Both fields share one
-/// 64-bit word: the low kParentDepthBits carry the level, the rest the
-/// destination's local id.  The split must fit the visit path's id width --
-/// local ids are 32-bit (util/types.hpp), so every id the exchange can
-/// deliver must survive the packing, checked below at the maximum local-id
-/// width.
+/// Traversal sends bare 4-byte local ids (or (id, lane word) records), so
+/// nn-discovered (vertex, lane) pairs learn their parent in one extra
+/// exchange of (destination local id, lane, sender level) probes.  All
+/// three share one 64-bit word: the low kParentDepthBits carry the level,
+/// the next kParentLaneBits the lane, the rest the destination's local id.
+/// The split must fit the visit path's id width -- local ids are 32-bit
+/// (util/types.hpp), so every id the exchange can deliver must survive the
+/// packing, checked below at the maximum local-id width.
 namespace dsbfs::core {
 
 /// Bits of BFS level in a packed parent probe (bounds the supported
@@ -22,34 +22,10 @@ namespace dsbfs::core {
 inline constexpr int kParentDepthBits = 21;
 inline constexpr std::uint64_t kParentDepthMask =
     (1ULL << kParentDepthBits) - 1;
-/// Bits left for the destination local id.
-inline constexpr int kParentLocalBits = 64 - kParentDepthBits;
-
-constexpr std::uint64_t pack_parent_probe(std::uint64_t dest_local,
-                                          Depth level) noexcept {
-  return (dest_local << kParentDepthBits) |
-         (static_cast<std::uint64_t>(level) & kParentDepthMask);
-}
-
-constexpr LocalId parent_probe_local(std::uint64_t word) noexcept {
-  return static_cast<LocalId>(word >> kParentDepthBits);
-}
-
-constexpr Depth parent_probe_level(std::uint64_t word) noexcept {
-  return static_cast<Depth>(word & kParentDepthMask);
-}
-
-// ---- Lane-generalized parent probes (batched MS-BFS traversals) ----------
-//
-// A batched traversal resolves nn parents per (vertex, lane) pair, so the
-// probe word additionally carries the lane index: low kParentDepthBits the
-// level, then kParentLaneBits the lane, the rest the destination local id.
-
-/// Bits of lane index in a lane parent probe (supports the 64-lane maximum
-/// batch width).
+/// Bits of lane index (supports the 64-lane maximum batch width).
 inline constexpr int kParentLaneBits = 6;
 inline constexpr std::uint64_t kParentLaneMask = (1ULL << kParentLaneBits) - 1;
-/// Bits left for the destination local id in a lane probe.
+/// Bits left for the destination local id.
 inline constexpr int kLaneParentLocalBits =
     64 - kParentDepthBits - kParentLaneBits;
 
@@ -75,8 +51,6 @@ constexpr Depth lane_parent_probe_level(std::uint64_t word) noexcept {
 
 // The packing must round-trip every 32-bit local id at the deepest
 // representable level.
-static_assert(kParentLocalBits >= 32,
-              "parent probes must carry any 32-bit local id");
 static_assert(kLaneParentLocalBits >= 32,
               "lane parent probes must carry any 32-bit local id");
 static_assert(lane_parent_probe_local(pack_lane_parent_probe(
@@ -88,13 +62,5 @@ static_assert(lane_parent_probe_lane(pack_lane_parent_probe(
 static_assert(lane_parent_probe_level(pack_lane_parent_probe(
                   kInvalidLocal, 63, static_cast<Depth>(kParentDepthMask))) ==
               static_cast<Depth>(kParentDepthMask));
-static_assert(parent_probe_local(pack_parent_probe(
-                  kInvalidLocal, static_cast<Depth>(kParentDepthMask))) ==
-              kInvalidLocal);
-static_assert(parent_probe_level(pack_parent_probe(
-                  kInvalidLocal, static_cast<Depth>(kParentDepthMask))) ==
-              static_cast<Depth>(kParentDepthMask));
-static_assert(parent_probe_local(pack_parent_probe(0, 0)) == 0 &&
-              parent_probe_level(pack_parent_probe(0, 0)) == 0);
 
 }  // namespace dsbfs::core

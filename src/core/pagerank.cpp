@@ -255,7 +255,7 @@ DistributedPagerank::DistributedPagerank(const graph::DistributedGraph& graph,
                                          sim::Cluster& cluster,
                                          PagerankOptions options)
     : graph_(graph), cluster_(cluster), options_(options) {
-  engine::check_specs_match(graph, cluster);
+  engine::check_facade_setup(graph, cluster, options_.exchange_topology);
   comm::validate(wire_options(options_));
 }
 

@@ -145,7 +145,7 @@ class ServingAlgorithm : public LaneBfsRound {
   ServingAlgorithm(const graph::DistributedGraph& graph,
                    const SchedulerOptions& options,
                    std::span<const QueryArrival> trace, int lane_bits)
-      : LaneBfsRound(graph, options, lane_bits),
+      : LaneBfsRound(graph, LaneWire::of(options), lane_bits),
         options_(options),
         trace_(trace),
         lane_budget_mask_(options.width >= 64
@@ -214,6 +214,9 @@ class ServingAlgorithm : public LaneBfsRound {
     }
     for (const comm::VertexUpdate& u : gs.received) {
       pending |= u.value & ~gs.seen_normal.lanes(u.vertex);
+    }
+    for (const LocalId v : gs.id_received) {
+      pending |= gs.seen_normal.lanes<1>(v) ^ 1;
     }
     const graph::LocalGraph& lg = gs.graph();
     gs.delegate_new.for_each_nonzero_lanes([&](std::size_t t,
@@ -315,15 +318,17 @@ class ServingAlgorithm : public LaneBfsRound {
 
     // Recycling a used lane: clear its visited columns (one word-level mask
     // sweep per bitset, every GPU identically) and scrub the stale lane
-    // bits that survive a boundary -- `received` duplicates already seen by
-    // the previous occupant would otherwise claim the cleared lane at the
-    // next previsit, and sink-delegate `delegate_new` bits would inflate
-    // the previsit counters.
+    // bits that survive a boundary -- arrivals already seen by the previous
+    // occupant would otherwise claim the cleared lane at the next previsit,
+    // and sink-delegate `delegate_new` bits would inflate the previsit
+    // counters.  At width 1 every arrival belongs to the retired lane, so
+    // the bare-id arrivals are dropped.
     if ((q.lanes_used & bit) != 0) {
       s.seen_normal.clear_lanes(bit);
       s.delegate_visited.clear_lanes(bit);
       s.delegate_new.clear_lanes(bit);
       for (comm::VertexUpdate& u : s.received) u.value &= ~bit;
+      s.id_received.clear();
       const std::uint64_t bytes = s.seen_normal.byte_size() +
                                   s.delegate_visited.byte_size() +
                                   s.delegate_new.byte_size();
@@ -374,12 +379,12 @@ QueryScheduler::QueryScheduler(const graph::DistributedGraph& graph,
                                sim::Cluster& cluster,
                                SchedulerOptions options)
     : graph_(graph), cluster_(cluster), options_(options) {
-  engine::check_specs_match(graph, cluster);
+  engine::check_facade_setup(graph, cluster, options_.exchange_topology);
   if (options_.width < 1 || options_.width > 64) {
     throw std::invalid_argument("scheduler width must be 1..64");
   }
   // Fail at construction; the round validates again at its lane width.
-  comm::validate(LaneBfsRound::wire_options(options_, 1));
+  comm::validate(LaneWire::of(options_).lanes);
 }
 
 VertexId QueryScheduler::sample_source(std::uint64_t k) const {

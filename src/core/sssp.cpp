@@ -428,7 +428,7 @@ class SsspAlgorithm {
 DistributedSssp::DistributedSssp(const graph::DistributedGraph& graph,
                                  sim::Cluster& cluster, SsspOptions options)
     : graph_(graph), cluster_(cluster), options_(options) {
-  engine::check_specs_match(graph, cluster);
+  engine::check_facade_setup(graph, cluster, options_.exchange_topology);
   if (options_.max_weight == 0) {
     throw std::invalid_argument("sssp max_weight must be at least 1");
   }

@@ -1,202 +1,55 @@
 #include "core/visit.hpp"
 
-#include <bit>
-
 namespace dsbfs::core {
 
-void visit_dd(GpuState& s) {
-  const graph::LocalGraph& g = s.graph();
-  sim::KernelCounters& k = s.iter.dd;
-  k.backward = s.dir_dd.backward();
+// Forward push: the "unvisited? claim" test is `word & ~visited_lanes`
+// followed by a lane-word OR whose previous value identifies the freshly
+// claimed lanes (MS-BFS's visitNext |= visit & ~seen).  Backward pull
+// reuses the same claim detection in reverse: an item unvisited in some
+// live lanes (`miss = batch_mask & ~visited`) probes its in-edges and
+// claims itself in every lane whose visited word intersects a neighbor's
+// (`hit = miss & visited(neighbor)`), clearing hit lanes from `miss` and
+// early-exiting once every live lane has found a parent -- one pull sweep
+// serves all W sources.  The visited masks consumed are the
+// iteration-stable snapshots, so pulls never observe same-iteration
+// discoveries.  At W = 1 a queued item's lane word is 1 by construction,
+// so the forward kernels do not read it.
 
-  if (!k.backward) {
-    if (s.delegate_queue.empty()) return;
-    k.launched = true;
-    for (const LocalId t : s.delegate_queue) {
-      const auto row = g.dd().row(t);
-      k.edges += row.size();
-      for (const LocalId c : row) {
-        if (!s.delegate_visited.test(c)) {
-          s.delegate_out.set(c);
-          if (s.record_parents) {
-            s.set_delegate_parent(c, kParentDelegateTag | t);
-          }
-        }
-      }
-    }
-    k.vertices = s.delegate_queue.size();
-    return;
-  }
-
-  // Backward pull: every unvisited delegate with dd edges looks for one
-  // visited parent (dd is locally symmetric, so it is its own reverse).
-  // An empty delegate queue means no delegate was newly visited last round,
-  // and every older (visited, unvisited) edge was already exploited by that
-  // round's kernel -- the pull cannot discover anything, so the host skips
-  // the launch exactly as the push path does.
-  if (s.delegate_queue.empty()) return;
-  k.launched = true;
-  const LocalId d = g.num_delegates();
-  for (LocalId t = 0; t < d; ++t) {
-    if (!g.dd_source_mask().test(t) || s.delegate_visited.test(t)) continue;
-    ++k.vertices;
-    for (const LocalId c : g.dd().row(t)) {
-      ++k.edges;
-      if (s.delegate_visited.test(c)) {
-        s.delegate_out.set(t);
-        if (s.record_parents) s.set_delegate_parent(t, kParentDelegateTag | c);
-        break;
-      }
-    }
-  }
-}
-
-void visit_dn(GpuState& s) {
-  const graph::LocalGraph& g = s.graph();
-  sim::KernelCounters& k = s.iter.dn;
-  k.backward = s.dir_dn.backward();
-  const Depth next_depth = s.depth + 1;
-
-  if (!k.backward) {
-    if (s.delegate_queue.empty()) return;
-    k.launched = true;
-    for (const LocalId t : s.delegate_queue) {
-      const auto row = g.dn().row(t);
-      k.edges += row.size();
-      for (const LocalId v : row) {
-        if (s.claim_normal(v, next_depth)) {
-          if (s.record_parents) s.parent_normal[v] = kParentDelegateTag | t;
-          s.next_local.push_back(v);
-        }
-      }
-    }
-    k.vertices = s.delegate_queue.size();
-    return;
-  }
-
-  // Backward pull over the nd subgraph (reverse of dn on this GPU): each
-  // unvisited normal with delegate parents scans them for a visited one.
-  // New hits can only come from delegates visited last round -- with an
-  // empty delegate queue the pull is a no-op and is not launched.
-  if (s.delegate_queue.empty()) return;
-  k.launched = true;
-  for (const LocalId v : g.nd_source_list()) {
-    if (s.normal_level(v) != kUnvisited) continue;
-    ++k.vertices;
-    for (const LocalId c : g.nd().row(v)) {
-      ++k.edges;
-      if (s.delegate_visited.test(c)) {
-        if (s.claim_normal(v, next_depth)) {
-          if (s.record_parents) s.parent_normal[v] = kParentDelegateTag | c;
-          s.next_local.push_back(v);
-        }
-        break;
-      }
-    }
-  }
-}
-
-void visit_nd(GpuState& s) {
-  const graph::LocalGraph& g = s.graph();
-  sim::KernelCounters& k = s.iter.nd;
-  k.backward = s.dir_nd.backward();
-
-  const sim::ClusterSpec& spec = g.spec();
-  const sim::GpuCoord me = g.me();
-  const auto global_of = [&](LocalId v) {
-    return spec.global_vertex(me.rank, me.gpu, v);
-  };
-
-  if (!k.backward) {
-    if (s.frontier.empty()) return;
-    k.launched = true;
-    for (const LocalId v : s.frontier) {
-      const auto row = g.nd().row(v);
-      k.edges += row.size();
-      for (const LocalId c : row) {
-        if (!s.delegate_visited.test(c)) {
-          s.delegate_out.set(c);
-          if (s.record_parents) s.set_delegate_parent(c, global_of(v));
-        }
-      }
-    }
-    k.vertices = s.frontier.size();
-    return;
-  }
-
-  // Backward pull over the dn subgraph: each unvisited delegate with local
-  // normal parents scans them for one visited at distance <= depth (the
-  // stable snapshot; dn-visit writes carry depth+1 and are excluded).  New
-  // hits can only come from normals visited last round -- with an empty
-  // normal frontier the pull is a no-op and is not launched.
-  if (s.frontier.empty()) return;
-  k.launched = true;
-  const LocalId d = g.num_delegates();
-  const Depth depth = s.depth;
-  for (LocalId t = 0; t < d; ++t) {
-    if (!g.dn_source_mask().test(t) || s.delegate_visited.test(t)) continue;
-    ++k.vertices;
-    for (const LocalId v : g.dn().row(t)) {
-      ++k.edges;
-      const Depth lvl = s.normal_level(v);
-      if (lvl != kUnvisited && lvl <= depth) {
-        s.delegate_out.set(t);
-        if (s.record_parents) s.set_delegate_parent(t, global_of(v));
-        break;
-      }
-    }
-  }
-}
-
-// ---- lane-generalized visits (batched MS-BFS traversals) -----------------
-// One row traversal serves every lane of the frontier word at once.
-// Forward push: the single-source "unvisited? claim" test becomes
-// `word & ~visited_lanes` followed by an atomic lane-word OR whose return
-// value identifies the freshly claimed lanes (MS-BFS's visitNext |= visit &
-// ~seen).  Backward pull reuses the same claim detection in reverse: an item
-// unvisited in some live lanes (`miss = batch_mask & ~visited`) probes its
-// in-edges and claims itself in every lane whose visited word intersects a
-// neighbor's (`hit = miss & visited(neighbor)`), clearing hit lanes from
-// `miss` and early-exiting once every live lane has found a parent -- one
-// pull sweep serves all W sources.  The visited masks consumed are the
-// iteration-stable snapshots (seen_normal / delegate_visited), so pulls
-// never observe same-iteration discoveries, exactly the single-source
-// discipline; at W = 1 each pull is bit-identical (candidates, edge counts,
-// early exits) to its GpuState counterpart.
-
+template <int W>
 void visit_dd_lanes(LaneState& s) {
   const graph::LocalGraph& g = s.graph();
   sim::KernelCounters& k = s.iter.dd;
   k.backward = s.dir_dd.backward();
 
+  // An empty delegate queue means no lane gained a delegate last round,
+  // and every older (visited, unvisited) edge was already exploited by
+  // that round's kernel: neither direction can discover anything, so the
+  // host skips the launch.
+  if (s.delegate_queue.empty()) return;
+  k.launched = true;
+
   if (k.backward) {
     // Pull over dd itself (locally symmetric): every delegate with dd edges
     // still unvisited in a live lane scans its row for visited parents.
-    // Empty delegate queue = no lane gained a delegate last round = nothing
-    // new to hit; skip the launch like the push path (same gate in the
-    // single-source kernel, so W = 1 stays counter-exact).
-    if (s.delegate_queue.empty()) return;
-    k.launched = true;
     const LocalId d = g.num_delegates();
     for (LocalId t = 0; t < d; ++t) {
       if (!g.dd_source_mask().test(t)) continue;
-      std::uint64_t miss = s.batch_mask & ~s.delegate_visited.lanes(t);
+      std::uint64_t miss = s.batch_mask & ~s.delegate_visited.lanes<W>(t);
       if (miss == 0) continue;
       ++k.vertices;
       for (const LocalId c : g.dd().row(t)) {
         ++k.edges;
-        const std::uint64_t hit = miss & s.delegate_visited.lanes(c);
+        const std::uint64_t hit = miss & s.delegate_visited.lanes<W>(c);
         if (hit == 0) continue;
-        s.delegate_out.or_lanes(t, hit);
+        s.delegate_out.or_lanes<W>(t, hit);
         if (s.record_parents) {
           // Record for every hit lane, not only freshly claimed ones: the
           // claim split between the delegate and normal streams is racy, so
           // the deterministic CAS-min in set_delegate_parent must see every
           // stream's candidate to make the winner schedule-independent.
-          for (std::uint64_t b = hit; b != 0; b &= b - 1) {
-            s.set_delegate_parent(t, std::countr_zero(b),
-                                  kParentDelegateTag | c);
-          }
+          for_each_lane<W>(hit, [&](int lane) {
+            s.set_delegate_parent<W>(t, lane, kParentDelegateTag | c);
+          });
         }
         miss &= ~hit;
         if (miss == 0) break;
@@ -205,56 +58,65 @@ void visit_dd_lanes(LaneState& s) {
     return;
   }
 
-  if (s.delegate_queue.empty()) return;
-  k.launched = true;
   for (const LocalId t : s.delegate_queue) {
-    const std::uint64_t f = s.delegate_new.lanes(t);
+    const std::uint64_t f = W == 1 ? 1 : s.delegate_new.lanes<W>(t);
     const auto row = g.dd().row(t);
     k.edges += row.size();
     for (const LocalId c : row) {
-      const std::uint64_t rem = f & ~s.delegate_visited.lanes(c);
+      const std::uint64_t rem = f & ~s.delegate_visited.lanes<W>(c);
       if (rem == 0) continue;
-      s.delegate_out.or_lanes(c, rem);
+      s.delegate_out.or_lanes<W>(c, rem);
       if (s.record_parents) {
         // All candidates feed the CAS-min (see the dd pull above).
-        for (std::uint64_t b = rem; b != 0; b &= b - 1) {
-          s.set_delegate_parent(c, std::countr_zero(b),
-                                kParentDelegateTag | t);
-        }
+        for_each_lane<W>(rem, [&](int lane) {
+          s.set_delegate_parent<W>(c, lane, kParentDelegateTag | t);
+        });
       }
     }
   }
   k.vertices = s.delegate_queue.size();
 }
 
+template <int W>
 void visit_dn_lanes(LaneState& s) {
   const graph::LocalGraph& g = s.graph();
   sim::KernelCounters& k = s.iter.dn;
   k.backward = s.dir_dn.backward();
   const Depth next_depth = s.depth + 1;
 
+  // New hits require a delegate newly visited last round; empty queue =
+  // no-op, not launched.
+  if (s.delegate_queue.empty()) return;
+  k.launched = true;
+
+  // Claim lanes `bits` of v for parent `parent` (no other kernel writes
+  // next_normal during visits, so the claim needs no atomic).
+  const auto claim = [&](LocalId v, std::uint64_t bits, VertexId parent) {
+    const std::uint64_t prev =
+        s.next_normal.or_lanes_unsynchronized<W>(v, bits);
+    const std::uint64_t fresh = bits & ~prev;
+    if (fresh == 0) return;
+    if (prev == 0) s.next_local.push_back(v);
+    for_each_lane<W>(fresh, [&](int lane) {
+      const std::size_t sl = s.slot<W>(v, lane);
+      s.depth_normal[sl] = next_depth;
+      if (s.record_parents) s.parent_normal[sl] = parent;
+    });
+  };
+
   if (k.backward) {
     // Pull over the nd subgraph (reverse of dn on this GPU): each normal
     // with delegate parents, unvisited in a live lane, scans them for
-    // visited delegates and claims itself in the intersecting lanes.  New
-    // hits require a delegate newly visited last round; empty queue = no-op.
-    if (s.delegate_queue.empty()) return;
-    k.launched = true;
+    // visited delegates and claims itself in the intersecting lanes.
     for (const LocalId v : g.nd_source_list()) {
-      std::uint64_t miss = s.batch_mask & ~s.seen_normal.lanes(v);
+      std::uint64_t miss = s.batch_mask & ~s.seen_normal.lanes<W>(v);
       if (miss == 0) continue;
       ++k.vertices;
       for (const LocalId c : g.nd().row(v)) {
         ++k.edges;
-        const std::uint64_t hit = miss & s.delegate_visited.lanes(c);
+        const std::uint64_t hit = miss & s.delegate_visited.lanes<W>(c);
         if (hit == 0) continue;
-        const std::uint64_t prev = s.next_normal.or_lanes(v, hit);
-        if (prev == 0) s.next_local.push_back(v);
-        for (std::uint64_t b = hit & ~prev; b != 0; b &= b - 1) {
-          const std::size_t sl = s.slot(v, std::countr_zero(b));
-          s.depth_normal[sl] = next_depth;
-          if (s.record_parents) s.parent_normal[sl] = kParentDelegateTag | c;
-        }
+        claim(v, hit, kParentDelegateTag | c);
         miss &= ~hit;
         if (miss == 0) break;
       }
@@ -262,27 +124,19 @@ void visit_dn_lanes(LaneState& s) {
     return;
   }
 
-  if (s.delegate_queue.empty()) return;
-  k.launched = true;
   for (const LocalId t : s.delegate_queue) {
-    const std::uint64_t f = s.delegate_new.lanes(t);
+    const std::uint64_t f = W == 1 ? 1 : s.delegate_new.lanes<W>(t);
     const auto row = g.dn().row(t);
     k.edges += row.size();
     for (const LocalId v : row) {
-      const std::uint64_t rem = f & ~s.seen_normal.lanes(v);
-      if (rem == 0) continue;
-      const std::uint64_t prev = s.next_normal.or_lanes(v, rem);
-      if (prev == 0) s.next_local.push_back(v);
-      for (std::uint64_t b = rem & ~prev; b != 0; b &= b - 1) {
-        const std::size_t sl = s.slot(v, std::countr_zero(b));
-        s.depth_normal[sl] = next_depth;
-        if (s.record_parents) s.parent_normal[sl] = kParentDelegateTag | t;
-      }
+      const std::uint64_t rem = f & ~s.seen_normal.lanes<W>(v);
+      if (rem != 0) claim(v, rem, kParentDelegateTag | t);
     }
   }
   k.vertices = s.delegate_queue.size();
 }
 
+template <int W>
 void visit_nd_lanes(LaneState& s) {
   const graph::LocalGraph& g = s.graph();
   sim::KernelCounters& k = s.iter.nd;
@@ -291,31 +145,33 @@ void visit_nd_lanes(LaneState& s) {
   const sim::ClusterSpec& spec = g.spec();
   const sim::GpuCoord me = g.me();
 
+  // New hits require a normal newly visited last round; empty frontier =
+  // no-op, not launched.
+  if (s.frontier.empty()) return;
+  k.launched = true;
+
   if (k.backward) {
     // Pull over the dn subgraph: each delegate with local normal parents,
     // unvisited in a live lane, scans them against the stable seen_normal
     // snapshot (same-iteration dn-visit discoveries live in next_normal and
-    // are invisible here, exactly the single-source lvl <= depth test).  New
-    // hits require a normal newly visited last round; empty frontier = no-op.
-    if (s.frontier.empty()) return;
-    k.launched = true;
+    // are invisible here).
     const LocalId d = g.num_delegates();
     for (LocalId t = 0; t < d; ++t) {
       if (!g.dn_source_mask().test(t)) continue;
-      std::uint64_t miss = s.batch_mask & ~s.delegate_visited.lanes(t);
+      std::uint64_t miss = s.batch_mask & ~s.delegate_visited.lanes<W>(t);
       if (miss == 0) continue;
       ++k.vertices;
       for (const LocalId v : g.dn().row(t)) {
         ++k.edges;
-        const std::uint64_t hit = miss & s.seen_normal.lanes(v);
+        const std::uint64_t hit = miss & s.seen_normal.lanes<W>(v);
         if (hit == 0) continue;
-        s.delegate_out.or_lanes(t, hit);
+        s.delegate_out.or_lanes<W>(t, hit);
         if (s.record_parents) {
-          // All candidates feed the CAS-min (see the dd pull above).
+          // All candidates feed the CAS-min (see the dd pull).
           const VertexId v_global = spec.global_vertex(me.rank, me.gpu, v);
-          for (std::uint64_t b = hit; b != 0; b &= b - 1) {
-            s.set_delegate_parent(t, std::countr_zero(b), v_global);
-          }
+          for_each_lane<W>(hit, [&](int lane) {
+            s.set_delegate_parent<W>(t, lane, v_global);
+          });
         }
         miss &= ~hit;
         if (miss == 0) break;
@@ -324,28 +180,27 @@ void visit_nd_lanes(LaneState& s) {
     return;
   }
 
-  if (s.frontier.empty()) return;
-  k.launched = true;
   for (const LocalId v : s.frontier) {
-    const std::uint64_t f = s.frontier_normal.lanes(v);
+    const std::uint64_t f = W == 1 ? 1 : s.frontier_normal.lanes<W>(v);
     const auto row = g.nd().row(v);
     k.edges += row.size();
     for (const LocalId c : row) {
-      const std::uint64_t rem = f & ~s.delegate_visited.lanes(c);
+      const std::uint64_t rem = f & ~s.delegate_visited.lanes<W>(c);
       if (rem == 0) continue;
-      s.delegate_out.or_lanes(c, rem);
+      s.delegate_out.or_lanes<W>(c, rem);
       if (s.record_parents) {
-        // All candidates feed the CAS-min (see the dd pull above).
+        // All candidates feed the CAS-min (see the dd pull).
         const VertexId v_global = spec.global_vertex(me.rank, me.gpu, v);
-        for (std::uint64_t b = rem; b != 0; b &= b - 1) {
-          s.set_delegate_parent(c, std::countr_zero(b), v_global);
-        }
+        for_each_lane<W>(rem, [&](int lane) {
+          s.set_delegate_parent<W>(c, lane, v_global);
+        });
       }
     }
   }
   k.vertices = s.frontier.size();
 }
 
+template <int W>
 void visit_nn_lanes(LaneState& s, const sim::ClusterSpec& spec) {
   const graph::LocalGraph& g = s.graph();
   sim::KernelCounters& k = s.iter.nn;
@@ -354,35 +209,32 @@ void visit_nn_lanes(LaneState& s, const sim::ClusterSpec& spec) {
   k.launched = true;
   const std::uint64_t p = static_cast<std::uint64_t>(spec.total_gpus());
   for (const LocalId v : s.frontier) {
-    const std::uint64_t f = s.frontier_normal.lanes(v);
     const auto row = g.nn().row(v);
     k.edges += row.size();
-    for (const VertexId dst : row) {
-      const int owner = spec.owner_global_gpu(dst);
-      s.bins[static_cast<std::size_t>(owner)].push_back(
-          comm::VertexUpdate{static_cast<LocalId>(dst / p), f});
+    if constexpr (W == 1) {
+      for (const VertexId dst : row) {
+        s.id_bins[static_cast<std::size_t>(spec.owner_global_gpu(dst))]
+            .push_back(static_cast<LocalId>(dst / p));
+      }
+    } else {
+      const std::uint64_t f = s.frontier_normal.lanes<W>(v);
+      for (const VertexId dst : row) {
+        s.bins[static_cast<std::size_t>(spec.owner_global_gpu(dst))]
+            .push_back(comm::VertexUpdate{static_cast<LocalId>(dst / p), f});
+      }
     }
   }
   k.vertices = s.frontier.size();
 }
 
-void visit_nn(GpuState& s, const sim::ClusterSpec& spec) {
-  const graph::LocalGraph& g = s.graph();
-  sim::KernelCounters& k = s.iter.nn;
-  k.backward = false;
-  if (s.frontier.empty()) return;
-  k.launched = true;
-  const std::uint64_t p = static_cast<std::uint64_t>(spec.total_gpus());
-  for (const LocalId v : s.frontier) {
-    const auto row = g.nn().row(v);
-    k.edges += row.size();
-    for (const VertexId dst : row) {
-      const int owner = spec.owner_global_gpu(dst);
-      s.bins[static_cast<std::size_t>(owner)].push_back(
-          static_cast<LocalId>(dst / p));
-    }
-  }
-  k.vertices = s.frontier.size();
-}
+template void visit_dd_lanes<1>(LaneState&);
+template void visit_dd_lanes<util::kAnyWidth>(LaneState&);
+template void visit_dn_lanes<1>(LaneState&);
+template void visit_dn_lanes<util::kAnyWidth>(LaneState&);
+template void visit_nd_lanes<1>(LaneState&);
+template void visit_nd_lanes<util::kAnyWidth>(LaneState&);
+template void visit_nn_lanes<1>(LaneState&, const sim::ClusterSpec&);
+template void visit_nn_lanes<util::kAnyWidth>(LaneState&,
+                                              const sim::ClusterSpec&);
 
 }  // namespace dsbfs::core

@@ -7,62 +7,49 @@
 ///
 /// Four kernels per iteration, one per subgraph.  dd/dn/nd run forward-push
 /// or backward-pull according to the per-subgraph DirectionState fixed by
-/// the previsit; nn is always forward (Section IV-B).  Forward pushes scan
-/// the full neighbor list of each frontier vertex; backward pulls scan an
-/// unvisited vertex's parent list only until the first visited parent.
+/// the previsit; nn is always forward (Section IV-B).  Each frontier entry
+/// carries a lane word and one row traversal advances every lane at once
+/// (visitNext |= visit & ~seen, per neighbor).  Backward pulls sweep the
+/// reverse subgraph once for the whole union frontier, each candidate
+/// clearing its still-unvisited lane word (`miss`) against neighbors'
+/// visited words and early-exiting when every live lane has a parent.
 ///
 /// Write discipline (safe under delegate/normal stream concurrency):
-///   * dd/nd write only `delegate_out` (atomic OR bitset);
-///   * dn writes `level_normal` via CAS with depth+1 and appends to the
+///   * dd/nd write only `delegate_out` (atomic lane OR);
+///   * dn writes `next_normal` (only this kernel writes it during visits),
+///     per-lane depths/parents of the vertices it claims, and the
 ///     single-writer `next_local`;
 ///   * nn writes only this GPU's outbound bins;
-///   * all reads of visited state go to stable snapshots (delegate_visited,
-///     level_normal <= depth).
+///   * all reads of visited state go to the stable snapshots
+///     (`seen_normal`, `delegate_visited`).
+///
+/// `W` is the lane width: 1 (one bit per item, no lane loop, bare-id bins)
+/// or util::kAnyWidth for the runtime width of `s`.  Both are instantiated;
+/// a run dispatches once.
 namespace dsbfs::core {
 
-/// delegate -> delegate.  Uses merge-based load balancing on real GPUs
-/// (modeled by sim::KernelClass::kForwardMerge).
-void visit_dd(GpuState& s);
-
-/// delegate -> normal; backward pull runs over the nd subgraph from its
-/// source list (the reverse graph, Section IV-B).
-void visit_dn(GpuState& s);
-
-/// normal -> delegate; backward pull runs over the dn subgraph from its
-/// source mask.
-void visit_nd(GpuState& s);
-
-/// normal -> normal: forward only; fills per-destination-GPU bins with
-/// 32-bit destination-local ids.
-void visit_nn(GpuState& s, const sim::ClusterSpec& spec);
-
-// ---- lane-generalized visits (batched MS-BFS traversals) -----------------
-// Same four kernels over LaneState: each frontier entry carries a lane word
-// and one row traversal advances every lane at once (visitNext |= visit &
-// ~seen, per neighbor).  dd/dn/nd honor their DirectionState exactly like
-// the single-source kernels: backward pulls sweep the reverse subgraph once
-// for the whole union frontier, each candidate clearing its still-unvisited
-// lane word (`miss`) against neighbors' visited words and early-exiting
-// when every live lane has a parent.  nn is always forward.  The same write
-// discipline holds with `next_normal` (atomic lane OR + single-writer
-// next_local) in place of the level CAS.
-
 /// delegate -> delegate, lane words into `delegate_out`; backward pull runs
-/// over dd itself (locally symmetric).
+/// over dd itself (locally symmetric).  Uses merge-based load balancing on
+/// real GPUs (modeled by sim::KernelClass::kForwardMerge).
+template <int W>
 void visit_dd_lanes(LaneState& s);
 
 /// delegate -> normal: claims (vertex, lane) pairs in `next_normal`,
 /// records per-lane depths/parents, appends first-touched vertices to
 /// `next_local`.  Backward pull runs over the nd subgraph from its source
-/// list.
+/// list (the reverse graph, Section IV-B).
+template <int W>
 void visit_dn_lanes(LaneState& s);
 
 /// normal -> delegate, lane words into `delegate_out`; backward pull runs
 /// over the dn subgraph from its source mask.
+template <int W>
 void visit_nd_lanes(LaneState& s);
 
-/// normal -> normal: fills per-destination-GPU bins with (32-bit
-/// destination-local id, frontier lane word) updates.
+/// normal -> normal: fills per-destination-GPU bins with 32-bit
+/// destination-local ids (`id_bins` at W = 1) or (id, frontier lane word)
+/// updates (`bins`).
+template <int W>
 void visit_nn_lanes(LaneState& s, const sim::ClusterSpec& spec);
 
 }  // namespace dsbfs::core

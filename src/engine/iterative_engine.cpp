@@ -11,4 +11,11 @@ void check_specs_match(const graph::DistributedGraph& graph,
   }
 }
 
+void check_facade_setup(const graph::DistributedGraph& graph,
+                        const sim::Cluster& cluster,
+                        sim::ExchangeTopology topology) {
+  check_specs_match(graph, cluster);
+  sim::check_routable(topology, graph.spec().num_nodes());
+}
+
 }  // namespace dsbfs::engine

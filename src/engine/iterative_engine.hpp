@@ -12,6 +12,7 @@
 #include "sim/fault.hpp"
 #include "sim/perf_model.hpp"
 #include "sim/stream.hpp"
+#include "sim/topology.hpp"
 #include "util/timer.hpp"
 
 /// Shared driver skeleton for iterative distributed algorithms.
@@ -132,10 +133,19 @@ struct EngineRun {
   }
 };
 
-/// Shared entry-point validation: every algorithm constructor used to
-/// duplicate this check.  Throws std::invalid_argument on mismatch.
+/// Shared entry-point validation: `graph` and `cluster` share a spec.
+/// Throws std::invalid_argument on mismatch.
 void check_specs_match(const graph::DistributedGraph& graph,
                        const sim::Cluster& cluster);
+
+/// The check every facade constructor runs: the specs match, and the
+/// cluster can route the facade's exchange topology (the butterfly needs a
+/// power-of-two node count; see sim::check_routable).  Throws
+/// std::invalid_argument, so a bad combination fails on the caller's
+/// thread instead of inside a simulated GPU's exchange.
+void check_facade_setup(const graph::DistributedGraph& graph,
+                        const sim::Cluster& cluster,
+                        sim::ExchangeTopology topology);
 
 template <IterativeAlgorithm Algo>
 class IterativeEngine {

@@ -1,5 +1,8 @@
 #include "sim/topology.hpp"
 
+#include <stdexcept>
+#include <string>
+
 namespace dsbfs::sim {
 
 namespace {
@@ -11,6 +14,15 @@ std::uint64_t mix(std::uint64_t x) noexcept {
   return x ^ (x >> 31);
 }
 }  // namespace
+
+void check_routable(ExchangeTopology topology, int nodes) {
+  if (topology == ExchangeTopology::kButterfly &&
+      ((nodes & (nodes - 1)) != 0 || nodes > 64)) {
+    throw std::invalid_argument(
+        "butterfly exchange needs a power-of-two node count <= 64, got " +
+        std::to_string(nodes) + " nodes");
+  }
+}
 
 std::uint64_t hop_digest(const std::vector<HopCounters>& hops) noexcept {
   std::uint64_t h = 0x9e3779b97f4a7c15ULL;

@@ -35,6 +35,10 @@ enum class ExchangeTopology {
   kButterfly,
 };
 
+/// Throws std::invalid_argument when `topology` cannot route a cluster of
+/// `nodes` nodes: the butterfly needs a power-of-two count of at most 64.
+void check_routable(ExchangeTopology topology, int nodes);
+
 inline const char* to_string(ExchangeTopology t) noexcept {
   switch (t) {
     case ExchangeTopology::kFlat: return "flat";

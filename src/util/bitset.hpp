@@ -31,6 +31,10 @@
 ///     snapshot.
 namespace dsbfs::util {
 
+/// Template argument of the width-specialized lane accessors that selects
+/// the runtime lane width (LaneBitset::lane_bits()).
+inline constexpr int kAnyWidth = 0;
+
 class LaneBitset {
  public:
   LaneBitset() = default;
@@ -83,22 +87,43 @@ class LaneBitset {
   }
 
   // ---- lane interface ----------------------------------------------------
+  // The hot accessors take the lane width as a template argument: W = 1
+  // reads one bit per item (no multiply by the width, no lane-mask load),
+  // kAnyWidth reads the runtime width.  A positive W must equal lane_bits().
 
   /// Item v's lane word (bits [v*W, (v+1)*W) right-aligned).
+  template <int W = kAnyWidth>
   std::uint64_t lanes(std::size_t v) const noexcept {
-    const std::size_t bit = v * static_cast<std::size_t>(lane_bits_);
+    const std::size_t bit = v * width<W>();
     return (words_[bit >> 6].v.load(std::memory_order_relaxed) >> (bit & 63)) &
-           lane_mask_;
+           mask<W>();
   }
 
   /// Atomically OR `bits` (right-aligned, must fit the lane) into item v's
   /// lane word; returns the lane word *before* the OR, so callers can
   /// compute newly-set bits (`bits & ~prev`) and first-touch (`prev == 0`).
+  template <int W = kAnyWidth>
   std::uint64_t or_lanes(std::size_t v, std::uint64_t bits) noexcept {
-    const std::size_t bit = v * static_cast<std::size_t>(lane_bits_);
+    const std::size_t bit = v * width<W>();
     const std::uint64_t prev = words_[bit >> 6].v.fetch_or(
         bits << (bit & 63), std::memory_order_relaxed);
-    return (prev >> (bit & 63)) & lane_mask_;
+    return (prev >> (bit & 63)) & mask<W>();
+  }
+
+  /// or_lanes for single-threaded phases (previsits, seeding, and a word
+  /// only one kernel writes): a plain read before the OR, and a store only
+  /// when a bit is new -- no atomic read-modify-write.
+  template <int W = kAnyWidth>
+  std::uint64_t or_lanes_unsynchronized(std::size_t v,
+                                        std::uint64_t bits) noexcept {
+    const std::size_t bit = v * width<W>();
+    auto& word = words_[bit >> 6].v;
+    const std::uint64_t stored = word.load(std::memory_order_relaxed);
+    const std::uint64_t prev = (stored >> (bit & 63)) & mask<W>();
+    if ((bits & ~prev) != 0) {
+      word.store(stored | (bits << (bit & 63)), std::memory_order_relaxed);
+    }
+    return prev;
   }
 
   void clear_all() noexcept {
@@ -158,19 +183,24 @@ class LaneBitset {
 
   /// Call `fn(item, lane_word)` for every item with a nonzero lane word.
   /// Skips zero storage words outright (64/W items at a time), so sparse
-  /// rounds cost one load per word like the W = 1 for_each_set scan.
-  template <typename Fn>
+  /// rounds cost one load per word like the W = 1 for_each_set scan, which
+  /// is what the W = 1 instantiation runs.
+  template <int W = kAnyWidth, typename Fn>
   void for_each_nonzero_lanes(Fn&& fn) const {
-    const auto w = static_cast<std::size_t>(lane_bits_);
-    const std::size_t per_word = 64 / w;
-    const std::size_t nw = word_count();
-    for (std::size_t wi = 0; wi < nw; ++wi) {
-      const std::uint64_t stored = word(wi);
-      if (stored == 0) continue;
-      const std::size_t base = wi * per_word;
-      for (std::size_t j = 0; j < per_word && base + j < items_; ++j) {
-        const std::uint64_t lane_word = (stored >> (j * w)) & lane_mask_;
-        if (lane_word != 0) fn(base + j, lane_word);
+    if constexpr (W == 1) {
+      for_each_set([&](std::size_t i) { fn(i, std::uint64_t{1}); });
+    } else {
+      const std::size_t w = width<W>();
+      const std::size_t per_word = 64 / w;
+      const std::size_t nw = word_count();
+      for (std::size_t wi = 0; wi < nw; ++wi) {
+        const std::uint64_t stored = word(wi);
+        if (stored == 0) continue;
+        const std::size_t base = wi * per_word;
+        for (std::size_t j = 0; j < per_word && base + j < items_; ++j) {
+          const std::uint64_t lane_word = (stored >> (j * w)) & mask<W>();
+          if (lane_word != 0) fn(base + j, lane_word);
+        }
       }
     }
   }
@@ -190,6 +220,25 @@ class LaneBitset {
       return *this;
     }
   };
+
+  template <int W>
+  std::size_t width() const noexcept {
+    if constexpr (W == kAnyWidth) {
+      return static_cast<std::size_t>(lane_bits_);
+    } else {
+      return W;
+    }
+  }
+  template <int W>
+  std::uint64_t mask() const noexcept {
+    if constexpr (W == kAnyWidth) {
+      return lane_mask_;
+    } else if constexpr (W == 64) {
+      return ~0ULL;
+    } else {
+      return (1ULL << W) - 1;
+    }
+  }
 
   void copy_from(const LaneBitset& other) {
     items_ = other.items_;

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace dsbfs::util {
@@ -218,6 +219,34 @@ TEST(LaneBitset, OrLanesReturnsPreviousWord) {
   EXPECT_EQ(b.lanes(4), 0u);
   EXPECT_EQ(b.count(), 3u);
   EXPECT_EQ(b.count_nonzero_items(), 1u);
+}
+
+TEST(LaneBitset, WidthSpecializedAccessorsMatchTheRuntimeWidth) {
+  // The compile-time W = 1 accessors the single-source kernels use read and
+  // write exactly what the runtime-width ones do.
+  LaneBitset one(130);
+  EXPECT_EQ(one.or_lanes<1>(65, 1), 0u);
+  EXPECT_EQ(one.or_lanes<1>(65, 1), 1u);
+  EXPECT_EQ(one.lanes<1>(65), one.lanes(65));
+  EXPECT_EQ(one.lanes<1>(64), 0u);
+  EXPECT_EQ(one.or_lanes_unsynchronized<1>(129, 1), 0u);
+  EXPECT_EQ(one.or_lanes_unsynchronized<1>(129, 1), 1u);
+  EXPECT_TRUE(one.test(129));
+  std::vector<std::pair<std::size_t, std::uint64_t>> seen;
+  one.for_each_nonzero_lanes<1>(
+      [&](std::size_t v, std::uint64_t w) { seen.emplace_back(v, w); });
+  EXPECT_EQ(seen, (std::vector<std::pair<std::size_t, std::uint64_t>>{
+                      {65, 1}, {129, 1}}));
+
+  // The unsynchronized OR returns the previous word like or_lanes and
+  // leaves the neighbors sharing its storage word untouched.
+  LaneBitset wide(10, 8);
+  EXPECT_EQ(wide.or_lanes_unsynchronized(3, 0b0011), 0u);
+  EXPECT_EQ(wide.or_lanes_unsynchronized(3, 0b0110), 0b0011u);
+  EXPECT_EQ(wide.or_lanes_unsynchronized(3, 0b0010), 0b0111u);  // no new bit
+  EXPECT_EQ(wide.lanes(3), 0b0111u);
+  EXPECT_EQ(wide.lanes(2), 0u);
+  EXPECT_EQ(wide.lanes(4), 0u);
 }
 
 TEST(LaneBitset, FullWidthLanesRoundTrip) {

@@ -9,10 +9,16 @@
 
 #include "baseline/host_apps.hpp"
 #include "baseline/serial_bfs.hpp"
+#include "core/batch_bfs.hpp"
+#include "core/batch_sssp.hpp"
+#include "core/betweenness.hpp"
 #include "core/bfs.hpp"
 #include "core/components.hpp"
+#include "core/delta_sssp.hpp"
 #include "core/packing.hpp"
 #include "core/pagerank.hpp"
+#include "core/query_scheduler.hpp"
+#include "core/sssp.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "graph/rmat.hpp"
@@ -60,20 +66,28 @@ TEST(TagBlocks, PostLoopBlocksStayDisjointFromIterations) {
 
 TEST(ParentPacking, RoundTripsAtMaximumLocalIdWidth) {
   // The exchange delivers any 32-bit local id; the deepest representable
-  // level must not bleed into it (and vice versa).
+  // level and the lane (0 for a single-source run, up to 63) must not
+  // bleed into it (and vice versa).
   const std::uint64_t max_local = kInvalidLocal;  // 0xffffffff
   const Depth max_level = static_cast<Depth>(core::kParentDepthMask);
-  const std::uint64_t word = core::pack_parent_probe(max_local, max_level);
-  EXPECT_EQ(core::parent_probe_local(word), max_local);
-  EXPECT_EQ(core::parent_probe_level(word), max_level);
+  for (const int lane : {0, 63}) {
+    const std::uint64_t word =
+        core::pack_lane_parent_probe(max_local, lane, max_level);
+    EXPECT_EQ(core::lane_parent_probe_local(word), max_local);
+    EXPECT_EQ(core::lane_parent_probe_lane(word), lane);
+    EXPECT_EQ(core::lane_parent_probe_level(word), max_level);
 
-  const std::uint64_t word2 = core::pack_parent_probe(max_local, 0);
-  EXPECT_EQ(core::parent_probe_local(word2), max_local);
-  EXPECT_EQ(core::parent_probe_level(word2), 0);
+    const std::uint64_t word2 =
+        core::pack_lane_parent_probe(max_local, lane, 0);
+    EXPECT_EQ(core::lane_parent_probe_local(word2), max_local);
+    EXPECT_EQ(core::lane_parent_probe_lane(word2), lane);
+    EXPECT_EQ(core::lane_parent_probe_level(word2), 0);
 
-  const std::uint64_t word3 = core::pack_parent_probe(0, max_level);
-  EXPECT_EQ(core::parent_probe_local(word3), 0u);
-  EXPECT_EQ(core::parent_probe_level(word3), max_level);
+    const std::uint64_t word3 = core::pack_lane_parent_probe(0, lane, max_level);
+    EXPECT_EQ(core::lane_parent_probe_local(word3), 0u);
+    EXPECT_EQ(core::lane_parent_probe_lane(word3), lane);
+    EXPECT_EQ(core::lane_parent_probe_level(word3), max_level);
+  }
 }
 
 // ---- CommContext ---------------------------------------------------------
@@ -325,6 +339,47 @@ TEST(EnginePortRegression, BfsParentsStillFormValidTree) {
     // Parent sits exactly one level closer to the source.
     EXPECT_EQ(r.distances[parent] + 1, r.distances[v]) << v;
   }
+}
+
+// ---- facade construction -------------------------------------------------
+
+TEST(FacadeSetup, ButterflyOnNonPowerOfTwoNodesIsRejectedAtConstruction) {
+  // Three nodes cannot route a butterfly.  Every facade must refuse the
+  // combination on the caller's thread; the same call used to throw on a
+  // simulated GPU's thread and terminate the process.
+  const graph::EdgeList g = graph::grid_graph(6, 6);
+  const auto spec = spec_of(3, 1);  // one rank per node: 3 nodes
+  sim::Cluster cluster(spec);
+  const graph::DistributedGraph dg = graph::build_distributed(g, spec, 3);
+  constexpr auto kFly = sim::ExchangeTopology::kButterfly;
+  EXPECT_THROW(core::DistributedBfs(dg, cluster, {.exchange_topology = kFly}),
+               std::invalid_argument);
+  EXPECT_THROW(
+      core::DistributedBatchBfs(dg, cluster, {.exchange_topology = kFly}),
+      std::invalid_argument);
+  EXPECT_THROW(core::QueryScheduler(dg, cluster, {.exchange_topology = kFly}),
+               std::invalid_argument);
+  EXPECT_THROW(core::DistributedSssp(dg, cluster, {.exchange_topology = kFly}),
+               std::invalid_argument);
+  EXPECT_THROW(
+      core::DistributedDeltaSssp(dg, cluster, {.exchange_topology = kFly}),
+      std::invalid_argument);
+  EXPECT_THROW(
+      core::DistributedBatchSssp(dg, cluster, {.exchange_topology = kFly}),
+      std::invalid_argument);
+  EXPECT_THROW(
+      core::ConnectedComponents(dg, cluster, {.exchange_topology = kFly}),
+      std::invalid_argument);
+  EXPECT_THROW(
+      core::DistributedPagerank(dg, cluster, {.exchange_topology = kFly}),
+      std::invalid_argument);
+  EXPECT_THROW(
+      core::BetweennessCentrality(dg, cluster, {.exchange_topology = kFly}),
+      std::invalid_argument);
+  // The other topologies route any node count.
+  EXPECT_NO_THROW(core::DistributedBfs(
+      dg, cluster,
+      {.exchange_topology = sim::ExchangeTopology::kHierarchical}));
 }
 
 }  // namespace

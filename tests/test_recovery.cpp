@@ -1,9 +1,10 @@
 // Checkpoint / rollback recovery: a run that loses a GPU mid-flight must
 // finish with the bit-identical answer of a clean run, visibly charging the
 // checkpoints it took, the rollback it performed and the iterations it
-// replayed.  Covers the engine across its state shapes: BFS (GpuSnapshot),
-// batched BFS at W = 64 (LaneSnapshot), delta-stepping SSSP and PageRank
-// (value-typed snapshots).
+// replayed.  Covers the engine across its state shapes: BFS (LaneSnapshot
+// at W = 1, bare-id arrivals), batched BFS at W = 64 (LaneSnapshot with
+// lane-word arrivals), delta-stepping SSSP and PageRank (value-typed
+// snapshots).
 #include <gtest/gtest.h>
 
 #include <vector>
