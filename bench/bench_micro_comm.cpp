@@ -1,8 +1,9 @@
 // Microbenchmarks of the communication substrate: transport point-to-point,
-// tree collectives, the two-phase mask reducer, the normal exchange and the
-// encoded update codecs.
+// tree collectives, the two-phase mask reducer, the normal exchange, the
+// per-bin update coalescing and the encoded update codecs.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <random>
 #include <string>
 #include <thread>
@@ -218,5 +219,42 @@ BENCHMARK(BM_UpdateDecode)
     ->Args({1, kPageRankDoubles})
     ->Args({0, kSsspLaneWords})
     ->Args({1, kSsspLaneWords});
+
+/// Records/s through the per-bin coalescing pass on a bin of 16Ki unique
+/// records, shuffled (the comparison sort a raw bin pays) or presorted (the
+/// one-scan early return a sender-combined bin takes).  Args: {combine,
+/// presorted}.  The copy that restores the input each iteration is not
+/// timed.
+void BM_CoalesceBin(benchmark::State& state) {
+  const auto combine = static_cast<comm::UpdateCombine>(state.range(0));
+  const bool presorted = state.range(1) != 0;
+  auto input = update_bin(combine == comm::UpdateCombine::kSumDouble
+                              ? kPageRankDoubles
+                              : kSsspLaneWords,
+                          1 << 14);
+  if (!presorted) std::shuffle(input.begin(), input.end(), std::mt19937(7));
+  std::vector<comm::VertexUpdate> bin;
+  for (auto _ : state) {
+    state.PauseTiming();
+    bin = input;
+    state.ResumeTiming();
+    comm::coalesce_bin(bin, combine, 16);
+    benchmark::DoNotOptimize(bin.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(input.size()));
+  const char* name = combine == comm::UpdateCombine::kSumDouble ? "sum-double"
+                     : combine == comm::UpdateCombine::kLaneMin ? "lane-min"
+                                                                : "or";
+  state.SetLabel(std::string(name) + (presorted ? " presorted" : " shuffled"));
+}
+BENCHMARK(BM_CoalesceBin)
+    ->Args({static_cast<int>(comm::UpdateCombine::kSumDouble), 0})
+    ->Args({static_cast<int>(comm::UpdateCombine::kSumDouble), 1})
+    ->Args({static_cast<int>(comm::UpdateCombine::kLaneMin), 0})
+    ->Args({static_cast<int>(comm::UpdateCombine::kLaneMin), 1})
+    ->Args({static_cast<int>(comm::UpdateCombine::kOr), 0})
+    ->Args({static_cast<int>(comm::UpdateCombine::kOr), 1});
 
 }  // namespace

@@ -30,41 +30,6 @@ std::vector<std::uint64_t> pack_ids(const std::vector<LocalId>& ids) {
   return out;
 }
 
-/// Coalesce candidates sharing a destination vertex with the bin's combine;
-/// leaves the bin sorted by vertex id.  `lane_value_bits` is the sub-lane
-/// width of the kLaneMin/kLaneSum packed words (ignored by the scalar
-/// combines).
-void coalesce_bin(std::vector<VertexUpdate>& bin, UpdateCombine combine,
-                  int lane_value_bits) {
-  if (bin.size() < 2) return;
-  std::sort(bin.begin(), bin.end(),
-            [](const VertexUpdate& a, const VertexUpdate& b) {
-              return a.vertex < b.vertex;
-            });
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < bin.size();) {
-    VertexUpdate u = bin[i++];
-    for (; i < bin.size() && bin[i].vertex == u.vertex; ++i) {
-      if (combine == UpdateCombine::kMin) {
-        u.value = std::min(u.value, bin[i].value);
-      } else if (combine == UpdateCombine::kOr) {
-        u.value |= bin[i].value;
-      } else if (combine == UpdateCombine::kLaneMin) {
-        u.value = util::LaneValueSlab::lane_min_word(u.value, bin[i].value,
-                                                     lane_value_bits);
-      } else if (combine == UpdateCombine::kLaneSum) {
-        u.value = util::LaneValueSlab::lane_add_word(u.value, bin[i].value,
-                                                     lane_value_bits);
-      } else {  // kSumDouble
-        u.value = std::bit_cast<std::uint64_t>(
-            std::bit_cast<double>(u.value) + std::bit_cast<double>(bin[i].value));
-      }
-    }
-    bin[out++] = u;
-  }
-  bin.resize(out);
-}
-
 // ---- bit stream of the encoded update formats -----------------------------
 // Both encoded formats ship [count, byte_count, stream], the stream one
 // little-endian bit stream packed into whole words: bit k of it is bit
@@ -409,10 +374,7 @@ class UpdateCodec {
   explicit UpdateCodec(const UpdateExchangeOptions& options)
       : combine_(options.combine),
         lane_value_bits_(options.lane_value_bits),
-        // 4-byte id + the value field: value_bytes = 8 is the historic
-        // (id, 64-bit value) record; lane-word senders narrow it to their
-        // batch width (0 at W = 1, the id exchange's bare 4-byte id).
-        record_bytes_(4 + static_cast<std::uint64_t>(options.value_bytes)),
+        record_bytes_(update_record_bytes(options)),
         encoding_(!options.compress ? Encoding::kRaw
                   : options.gorilla ? Encoding::kGorilla
                                     : Encoding::kVarint),
@@ -973,6 +935,78 @@ std::vector<typename Codec::Record> route_exchange(
 }
 
 }  // namespace
+
+std::uint64_t update_record_bytes(const UpdateExchangeOptions& options) {
+  // value_bytes = 8 is the historic (id, 64-bit value) record; lane-word
+  // senders narrow it to their batch width (0 at W = 1, the id exchange's
+  // bare 4-byte id).
+  return 4 + static_cast<std::uint64_t>(options.value_bytes);
+}
+
+void coalesce_bin(std::vector<VertexUpdate>& bin, UpdateCombine combine,
+                  int lane_value_bits) {
+  const auto not_ascending = [](const VertexUpdate& a, const VertexUpdate& b) {
+    return a.vertex >= b.vertex;
+  };
+  if (std::adjacent_find(bin.begin(), bin.end(), not_ascending) == bin.end()) {
+    return;  // strictly ascending: already sorted and unique
+  }
+  std::sort(bin.begin(), bin.end(),
+            [](const VertexUpdate& a, const VertexUpdate& b) {
+              return a.vertex < b.vertex;
+            });
+  std::size_t out = 0;
+  for (std::size_t i = 0; i < bin.size();) {
+    VertexUpdate u = bin[i++];
+    for (; i < bin.size() && bin[i].vertex == u.vertex; ++i) {
+      if (combine == UpdateCombine::kMin) {
+        u.value = std::min(u.value, bin[i].value);
+      } else if (combine == UpdateCombine::kOr) {
+        u.value |= bin[i].value;
+      } else if (combine == UpdateCombine::kLaneMin) {
+        u.value = util::LaneValueSlab::lane_min_word(u.value, bin[i].value,
+                                                     lane_value_bits);
+      } else if (combine == UpdateCombine::kLaneSum) {
+        u.value = util::LaneValueSlab::lane_add_word(u.value, bin[i].value,
+                                                     lane_value_bits);
+      } else {  // kSumDouble
+        u.value = std::bit_cast<std::uint64_t>(
+            std::bit_cast<double>(u.value) + std::bit_cast<double>(bin[i].value));
+      }
+    }
+    bin[out++] = u;
+  }
+  bin.resize(out);
+}
+
+void charge_sender_combine(const UpdateExchangeOptions& options,
+                           int me_global,
+                           std::span<const std::uint64_t> candidates,
+                           const std::vector<std::vector<VertexUpdate>>& bins,
+                           ExchangeCounters& counters) {
+  if (options.combine == UpdateCombine::kNone) {
+    throw std::invalid_argument(
+        "update exchange: kNone ships every candidate; a sender cannot "
+        "combine them");
+  }
+  if (candidates.size() != bins.size()) {
+    throw std::invalid_argument(
+        "update exchange: one candidate count per destination bin");
+  }
+  const std::uint64_t record_bytes = update_record_bytes(options);
+  for (std::size_t g = 0; g < bins.size(); ++g) {
+    if (candidates[g] < bins[g].size()) {
+      throw std::invalid_argument(
+          "update exchange: a combined bin outnumbers its candidates");
+    }
+    const std::uint64_t folded = candidates[g] - bins[g].size();
+    counters.bin_vertices += folded;
+    if (static_cast<int>(g) == me_global) continue;  // never uniquified
+    counters.uniquify_vertices += folded;
+    counters.uniquify_bytes += folded * record_bytes;
+    counters.duplicates_removed += folded;
+  }
+}
 
 void validate(const UpdateExchangeOptions& options) {
   if ((options.adaptive || options.gorilla) && !options.compress) {

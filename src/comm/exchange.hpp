@@ -254,6 +254,35 @@ struct UpdateExchangeOptions {
 /// construction so a bad option fails before the first round.
 void validate(const UpdateExchangeOptions& options);
 
+/// Uncompressed wire bytes of one update record: the 4-byte id plus
+/// `value_bytes`.  The one counting rule behind every update byte counter.
+std::uint64_t update_record_bytes(const UpdateExchangeOptions& options);
+
+/// Coalesce candidates sharing a destination vertex with `combine`; leaves
+/// the bin sorted by vertex id and unique.  A bin that is already strictly
+/// ascending costs one scan, which stops at the first out-of-order pair.
+/// `lane_value_bits` is the sub-lane width of the kLaneMin/kLaneSum packed
+/// words (ignored by the scalar combines).  The exchange runs it on every
+/// outbound bin; public so the micro-benches and tests can drive it.
+void coalesce_bin(std::vector<VertexUpdate>& bin, UpdateCombine combine,
+                  int lane_value_bits = 64);
+
+/// Charge the candidates a sender combined itself before the exchange
+/// (PageRank's ghost slots).  `candidates[g]` raw candidates went into
+/// `bins[g]`, which now holds their strictly ascending combined records;
+/// the loopback bin may hold none, its candidates folded in place.  The
+/// modeled cluster still bins every candidate and runs the uniquify kernel
+/// over every outbound one, so this adds what the exchange's own coalesce
+/// will not see: with it, the counters read as if the raw bins had been
+/// exchanged.  Call before exchange_updates, with the same options; throws
+/// std::invalid_argument on a kNone combine, which promises every
+/// candidate on the wire, and on counts that do not match the bins.
+void charge_sender_combine(const UpdateExchangeOptions& options,
+                           int me_global,
+                           std::span<const std::uint64_t> candidates,
+                           const std::vector<std::vector<VertexUpdate>>& bins,
+                           ExchangeCounters& counters);
+
 /// Collective fixed-pattern exchange of VertexUpdate bins (12 bytes of
 /// payload per update on the wire uncompressed; packed as 1.5 words).
 /// Returns the updates destined for this GPU, including the loopback bin.

@@ -4,7 +4,9 @@
 #include <bit>
 #include <cmath>
 #include <memory>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "core/metrics.hpp"
 #include "engine/iterative_engine.hpp"
@@ -22,6 +24,81 @@ comm::UpdateExchangeOptions wire_options(const PagerankOptions& o) {
           .gorilla = o.gorilla,
           .topology = o.exchange_topology,
           .retry = o.resilience.retry};
+}
+
+/// Sender-side coalescing of one GPU's nn contributions (paper Section
+/// V-B's uniquify, done where the shares are made).  The nn pattern is
+/// static, so every remote nn neighbour gets one slot at init, numbered per
+/// destination GPU in ascending local id.  `visit` adds each share into its
+/// edge's slot and `exchange` ships every slot as one (id, sum) record: the
+/// bins leave sorted and unique, with no per-edge records and no sort.
+/// Loopback edges target the owned inflow directly.
+struct GhostSlots {
+  /// Per nn edge, in CSR order: its inflow index -- the local id for a
+  /// loopback edge, n_local + slot for a remote one.
+  std::vector<LocalId> target;
+  /// Per slot: the neighbour's local id on its owner.
+  std::vector<LocalId> id;
+  /// Per destination GPU: its first slot; p + 1 entries.
+  std::vector<std::size_t> first;
+  /// Per destination GPU: the nn contributions bound there each iteration,
+  /// which the modeled uniquify kernel still scans one by one.
+  std::vector<std::uint64_t> candidates;
+};
+
+/// Number the slots of GPU `gpu` in O(nn edges + n) without a search: mark
+/// the remote neighbours by global id, sweep the ids once in ascending
+/// order (ascending global id is ascending local id within one owner), then
+/// map every edge.  Rows of dead vertices push nothing and get no slot.
+std::shared_ptr<const GhostSlots> build_ghost_slots(
+    const graph::DistributedGraph& graph, int gpu,
+    const std::vector<bool>& dead) {
+  const sim::ClusterSpec& spec = graph.spec();
+  const graph::LocalCsrU64& nn = graph.local(gpu).nn();
+  const std::uint64_t n_local = graph.local(gpu).num_local_normals();
+  const auto p = static_cast<std::size_t>(spec.total_gpus());
+  auto out = std::make_shared<GhostSlots>();
+  GhostSlots& gs = *out;
+  gs.candidates.assign(p, 0);
+  gs.first.assign(p + 1, 0);
+
+  constexpr LocalId kNoSlot = ~LocalId{0};
+  std::vector<LocalId> slot_of(graph.num_vertices(), kNoSlot);
+  for (std::uint64_t v = 0; v < n_local; ++v) {
+    if (dead[v]) continue;
+    for (const VertexId dst : nn.row(v)) {
+      const auto owner = static_cast<std::size_t>(spec.owner_global_gpu(dst));
+      ++gs.candidates[owner];
+      if (owner != static_cast<std::size_t>(gpu) && slot_of[dst] == kNoSlot) {
+        slot_of[dst] = 0;  // marked; numbered below
+        ++gs.first[owner + 1];
+      }
+    }
+  }
+  for (std::size_t g = 0; g < p; ++g) gs.first[g + 1] += gs.first[g];
+  if (n_local + gs.first[p] > kNoSlot) {
+    throw std::length_error("pagerank: ghost slots overflow 32-bit indices");
+  }
+  gs.id.resize(gs.first[p]);
+  std::vector<std::size_t> next(gs.first.begin(), gs.first.end() - 1);
+  for (VertexId v = 0; v < slot_of.size(); ++v) {
+    if (slot_of[v] == kNoSlot) continue;
+    const std::size_t slot =
+        next[static_cast<std::size_t>(spec.owner_global_gpu(v))]++;
+    slot_of[v] = static_cast<LocalId>(slot);
+    gs.id[slot] = static_cast<LocalId>(spec.local_index(v));
+  }
+  gs.target.assign(nn.num_edges(), 0);
+  for (std::uint64_t v = 0; v < n_local; ++v) {
+    if (dead[v]) continue;
+    for (std::uint64_t e = nn.row_begin(v); e < nn.row_end(v); ++e) {
+      const VertexId dst = nn.col(e);
+      gs.target[e] = spec.owner_global_gpu(dst) == gpu
+                         ? static_cast<LocalId>(spec.local_index(dst))
+                         : static_cast<LocalId>(n_local + slot_of[dst]);
+    }
+  }
+  return out;
 }
 
 /// Push-style PageRank as engine phases: every vertex distributes
@@ -42,9 +119,14 @@ class PagerankAlgorithm {
   struct State {
     std::vector<double> rank_normal;
     std::vector<double> rank_delegate;  // replicated
+    /// Inflows of the n_local owned normals; with uniquify, the ghost slot
+    /// sums follow them (GhostSlots::target indexes this array).
     std::vector<double> acc_normal;
     std::vector<double> acc_delegate;  // local contributions, then reduced
     std::vector<bool> dead;            // normal slots owned by delegates
+    /// Static slot map, shared by snapshots; null without uniquify, where
+    /// every contribution ships as its own record through `bins`.
+    std::shared_ptr<const GhostSlots> slots;
     std::vector<std::vector<comm::VertexUpdate>> bins;
     sim::GpuIterationCounters iter;
     double dangling = 0.0;
@@ -80,7 +162,8 @@ class PagerankAlgorithm {
       if (!s.dead[v]) s.rank_normal[v] = 1.0 / n;
     }
     s.rank_delegate.assign(d, 1.0 / n);
-    s.acc_normal.assign(n_local, 0.0);
+    if (options_.uniquify) s.slots = build_ghost_slots(graph_, ctx.gpu, s.dead);
+    s.acc_normal.assign(n_local + (s.slots ? s.slots->id.size() : 0), 0.0);
     s.acc_delegate.assign(d, 0.0);
     s.bins.resize(static_cast<std::size_t>(ctx.total_gpus));
     return state;
@@ -113,6 +196,26 @@ class PagerankAlgorithm {
     const std::uint64_t n_local = lg.num_local_normals();
     const LocalId d = graph_.num_delegates();
     const std::uint64_t p = static_cast<std::uint64_t>(ctx.total_gpus);
+    const LocalId* const target = s.slots ? s.slots->target.data() : nullptr;
+    const auto delegate_share = [&](LocalId t) {
+      return s.rank_delegate[t] * delegate_inv_degree_[t];
+    };
+
+    // Delegates: replicated rank, scattered adjacency; each GPU pushes the
+    // delegate's share along its local dn and dd portions.  The dn pass
+    // runs first, so every owned inflow folds its dn shares, then its
+    // loopback nn shares in ascending source order (the normal pass), then
+    // the peers' records in peer order (exchange): the order in which a
+    // raw loopback bin would be folded.
+    s.iter.dprev_vertices = d;
+    s.iter.dd.launched = s.iter.dn.launched = d > 0;
+    s.iter.dd.vertices = s.iter.dn.vertices = d;
+    for (LocalId t = 0; t < d; ++t) {
+      const double share = delegate_share(t);
+      const auto dn_row = lg.dn().row(t);
+      s.iter.dn.edges += dn_row.size();
+      for (const LocalId v : dn_row) s.acc_normal[v] += share;
+    }
 
     // Normal vertices: full adjacency lives here (nn + nd rows).
     s.iter.nprev_vertices = n_local;
@@ -129,29 +232,30 @@ class PagerankAlgorithm {
       const double share = s.rank_normal[v] / degree;
       const auto nn_row = lg.nn().row(v);
       s.iter.nn.edges += nn_row.size();
-      for (const VertexId dst : nn_row) {
-        s.bins[static_cast<std::size_t>(spec.owner_global_gpu(dst))].push_back(
-            comm::VertexUpdate{static_cast<LocalId>(dst / p),
-                               std::bit_cast<std::uint64_t>(share)});
+      if (target != nullptr) {
+        const LocalId* const row_target = target + lg.nn().row_begin(v);
+        for (std::size_t i = 0; i < nn_row.size(); ++i) {
+          s.acc_normal[row_target[i]] += share;
+        }
+      } else {
+        for (const VertexId dst : nn_row) {
+          s.bins[static_cast<std::size_t>(spec.owner_global_gpu(dst))]
+              .push_back(comm::VertexUpdate{
+                  static_cast<LocalId>(dst / p),
+                  std::bit_cast<std::uint64_t>(share)});
+        }
       }
       const auto nd_row = lg.nd().row(v);
       s.iter.nd.edges += nd_row.size();
       for (const LocalId c : nd_row) s.acc_delegate[c] += share;
     }
 
-    // Delegates: replicated rank, scattered adjacency; each GPU pushes
-    // the delegate's share along its local dd/dn portions.
-    s.iter.dprev_vertices = d;
-    s.iter.dd.launched = s.iter.dn.launched = d > 0;
-    s.iter.dd.vertices = s.iter.dn.vertices = d;
+    // Delegates' dd portions, after the nd shares as always.
     for (LocalId t = 0; t < d; ++t) {
-      const double share = s.rank_delegate[t] * delegate_inv_degree_[t];
+      const double share = delegate_share(t);
       const auto dd_row = lg.dd().row(t);
       s.iter.dd.edges += dd_row.size();
       for (const LocalId c : dd_row) s.acc_delegate[c] += share;
-      const auto dn_row = lg.dn().row(t);
-      s.iter.dn.edges += dn_row.size();
-      for (const LocalId v : dn_row) s.acc_normal[v] += share;
     }
   }
 
@@ -173,9 +277,26 @@ class PagerankAlgorithm {
 
   void exchange(engine::GpuContext& ctx, State& s, int iteration) {
     // nn inflow exchange; runs on the normal stream, concurrent with the
-    // delegate inflow reduction: touches only acc_normal.
+    // delegate inflow reduction: touches only acc_normal.  With ghost
+    // slots, every destination's slots become its bin, ascending and
+    // unique.
+    std::span<const std::uint64_t> combined_candidates;
+    if (s.slots) {
+      const GhostSlots& gs = *s.slots;
+      const double* const sums =
+          s.acc_normal.data() + graph_.local(ctx.gpu).num_local_normals();
+      for (std::size_t g = 0; g < s.bins.size(); ++g) {
+        std::vector<comm::VertexUpdate>& bin = s.bins[g];
+        bin.resize(gs.first[g + 1] - gs.first[g]);
+        for (std::size_t i = 0, k = gs.first[g]; i < bin.size(); ++i, ++k) {
+          bin[i] = {gs.id[k], std::bit_cast<std::uint64_t>(sums[k])};
+        }
+      }
+      combined_candidates = gs.candidates;
+    }
     const auto updates = ctx.comm.exchange_value_updates(
-        ctx.me, s.bins, iteration, wire_options(options_), s.iter);
+        ctx.me, s.bins, iteration, wire_options(options_), s.iter,
+        combined_candidates);
     for (const comm::VertexUpdate& u : updates) {
       s.acc_normal[u.vertex] += std::bit_cast<double>(u.value);
     }

@@ -33,10 +33,12 @@ struct PagerankOptions {
   /// Two-stream overlap: delegate inflow sum-reduction concurrent with the
   /// nn-inflow exchange (engine::EngineOptions).
   bool overlap = true;
-  /// Sum-coalesce outbound contributions per bin before the send.  The
-  /// receiver sums anyway, so only the floating-point addition order moves
-  /// (well inside the iteration tolerance); dense rounds send far fewer
-  /// (id, share) pairs.
+  /// Sum-coalesce outbound contributions per destination vertex before
+  /// the send, on the sender: each remote nn neighbour owns a ghost slot
+  /// that the visit adds its shares into, and every slot ships as one
+  /// (id, sum) pair.  The receiver sums anyway, so only the floating-point
+  /// addition order moves (well inside the iteration tolerance); dense
+  /// rounds send far fewer pairs.  Off ships every share as its own pair.
   bool uniquify = true;
   /// Delta+varint-encode the (id, share) wire payload.  Bit-cast doubles
   /// barely shrink, so this mostly demonstrates the opt-in cost.

@@ -38,8 +38,13 @@ void CommContext::allreduce_or_words(int gpu, std::span<std::uint64_t> words,
 std::vector<comm::VertexUpdate> CommContext::exchange_value_updates(
     sim::GpuCoord me, std::vector<std::vector<comm::VertexUpdate>>& bins,
     int iteration, const comm::UpdateExchangeOptions& options,
-    sim::GpuIterationCounters& iter) {
+    sim::GpuIterationCounters& iter,
+    std::span<const std::uint64_t> combined_candidates) {
   comm::ExchangeCounters ec;
+  if (!combined_candidates.empty()) {
+    comm::charge_sender_combine(options, spec_.global_gpu(me),
+                                combined_candidates, bins, ec);
+  }
   auto updates = comm::exchange_updates(transport_, spec_, me, bins,
                                         iteration, options, ec);
   record_exchange(std::move(ec), iter);

@@ -84,11 +84,15 @@ class CommContext {
   /// exchange with the algorithm's coalesce/compress/bias choice and record
   /// the exchange counters into the iteration row.  Returns the received
   /// updates; `bins` are consumed.  `options` define the wire format and
-  /// must be identical on every GPU in a round.
+  /// must be identical on every GPU in a round.  A sender that combined its
+  /// candidates itself passes their per-destination raw counts as
+  /// `combined_candidates` (see comm::charge_sender_combine); empty when
+  /// the bins hold every candidate.
   std::vector<comm::VertexUpdate> exchange_value_updates(
       sim::GpuCoord me, std::vector<std::vector<comm::VertexUpdate>>& bins,
       int iteration, const comm::UpdateExchangeOptions& options,
-      sim::GpuIterationCounters& iter);
+      sim::GpuIterationCounters& iter,
+      std::span<const std::uint64_t> combined_candidates = {});
 
  private:
   sim::ClusterSpec spec_;

@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <bit>
 #include <functional>
+#include <random>
 #include <thread>
+#include <utility>
 
 #include "baseline/host_apps.hpp"
 #include "core/components.hpp"
@@ -867,6 +869,188 @@ TEST(UpdateExchange, GorillaRepeatAndWindowReuseCompressHard) {
       EXPECT_EQ(u.value, std::bit_cast<std::uint64_t>(0.25));
     }
   }
+}
+
+/// (id, value) pairs, so whole update vectors compare with EXPECT_EQ.
+std::vector<std::pair<LocalId, std::uint64_t>> pairs_of(
+    const std::vector<VertexUpdate>& updates) {
+  std::vector<std::pair<LocalId, std::uint64_t>> out;
+  out.reserve(updates.size());
+  for (const VertexUpdate& u : updates) out.emplace_back(u.vertex, u.value);
+  return out;
+}
+
+TEST(UpdateExchange, PresortedBinsShipUnchanged) {
+  // Coalescing skips its sort on a strictly ascending bin, which is what a
+  // sender that combined its own candidates (PageRank's ghost slots) hands
+  // over.  For the order-insensitive combines the skip must not show: an
+  // ascending bin and the same records shuffled ship the same wire words
+  // and charge the same counters.
+  sim::ClusterSpec spec;
+  spec.num_ranks = 2;
+  spec.gpus_per_rank = 1;
+  std::vector<VertexUpdate> ascending;
+  for (LocalId v = 0; v < 300; ++v) {
+    ascending.push_back(
+        VertexUpdate{3 * v + 1, 0x0004000300020001ULL * (v % 7 + 1)});
+  }
+  std::vector<VertexUpdate> shuffled = ascending;
+  std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937(7));
+  ASSERT_NE(pairs_of(shuffled), pairs_of(ascending));
+
+  for (const UpdateCombine combine :
+       {UpdateCombine::kMin, UpdateCombine::kOr, UpdateCombine::kLaneMin,
+        UpdateCombine::kLaneSum}) {
+    SCOPED_TRACE(static_cast<int>(combine));
+    const UpdateExchangeOptions options{
+        .combine = combine, .compress = true, .lane_value_bits = 16};
+    std::vector<std::uint64_t> words[2];
+    std::vector<ExchangeCounters> counters[2];
+    std::vector<std::vector<VertexUpdate>> received[2];
+    for (int k = 0; k < 2; ++k) {
+      const std::vector<VertexUpdate>& input = k == 0 ? ascending : shuffled;
+      std::vector<VertexUpdate> bin = input;
+      coalesce_bin(bin, combine, options.lane_value_bits);
+      words[k] = encode_updates_compressed(bin, 0);
+      received[k] = run_update_exchange(
+          spec, options, &counters[k],
+          [&](int g, std::vector<std::vector<VertexUpdate>>& bins) {
+            bins[static_cast<std::size_t>(1 - g)] = input;
+          });
+    }
+    EXPECT_EQ(words[0], words[1]);
+    for (int g = 0; g < 2; ++g) {
+      const auto gi = static_cast<std::size_t>(g);
+      EXPECT_EQ(pairs_of(received[0][gi]), pairs_of(ascending));
+      EXPECT_EQ(pairs_of(received[1][gi]), pairs_of(ascending));
+      const ExchangeCounters& a = counters[0][gi];
+      const ExchangeCounters& b = counters[1][gi];
+      EXPECT_EQ(a.bin_vertices, b.bin_vertices);
+      EXPECT_EQ(a.uniquify_vertices, b.uniquify_vertices);
+      EXPECT_EQ(a.uniquify_bytes, b.uniquify_bytes);
+      EXPECT_EQ(a.duplicates_removed, b.duplicates_removed);
+      EXPECT_EQ(a.encode_bytes, b.encode_bytes);
+      EXPECT_EQ(a.send_bytes_remote, b.send_bytes_remote);
+      EXPECT_EQ(a.recv_bytes_remote, b.recv_bytes_remote);
+    }
+  }
+
+  // kSumDouble: an ascending unique bin is shipped record for record --
+  // nothing is added, so no share is re-associated.
+  std::vector<VertexUpdate> shares;
+  for (LocalId v = 0; v < 64; ++v) {
+    shares.push_back(VertexUpdate{
+        2 * v, std::bit_cast<std::uint64_t>(1.0 / (3.0 + v))});
+  }
+  std::vector<ExchangeCounters> sum_counters;
+  const auto sums = run_update_exchange(
+      spec, {.combine = UpdateCombine::kSumDouble}, &sum_counters,
+      [&](int g, std::vector<std::vector<VertexUpdate>>& bins) {
+        bins[static_cast<std::size_t>(1 - g)] = shares;
+      });
+  for (int g = 0; g < 2; ++g) {
+    EXPECT_EQ(pairs_of(sums[static_cast<std::size_t>(g)]), pairs_of(shares));
+    EXPECT_EQ(sum_counters[static_cast<std::size_t>(g)].uniquify_vertices,
+              64u);
+    EXPECT_EQ(sum_counters[static_cast<std::size_t>(g)].duplicates_removed,
+              0u);
+  }
+
+  // Out of order only at the last pair: swapped, or a repeated id.  The
+  // check stops there and the bin is still sorted and combined.
+  std::vector<VertexUpdate> swapped = {{10, 1}, {20, 2}, {30, 3}, {50, 5},
+                                       {40, 4}};
+  coalesce_bin(swapped, UpdateCombine::kMin);
+  EXPECT_EQ(pairs_of(swapped),
+            (std::vector<std::pair<LocalId, std::uint64_t>>{
+                {10, 1}, {20, 2}, {30, 3}, {40, 4}, {50, 5}}));
+  std::vector<VertexUpdate> repeated = {{10, 1}, {20, 2}, {30, 3}, {30, 4}};
+  coalesce_bin(repeated, UpdateCombine::kOr);
+  EXPECT_EQ(pairs_of(repeated),
+            (std::vector<std::pair<LocalId, std::uint64_t>>{
+                {10, 1}, {20, 2}, {30, 7}}));
+}
+
+TEST(UpdateExchange, SenderCombinedBinsChargeLikeRawBins) {
+  // A sender that combines its own candidates (PageRank's ghost slots)
+  // hands over ascending unique bins, folds its loopback candidates in
+  // place and reports the raw counts: every counter must read as if the
+  // raw bins had gone through the exchange.
+  sim::ClusterSpec spec;
+  spec.num_ranks = 2;
+  spec.gpus_per_rank = 2;
+  const int p = spec.total_gpus();
+  const UpdateExchangeOptions options{.combine = UpdateCombine::kMin,
+                                      .compress = true,
+                                      .adaptive = true};
+  const auto raw_bins = [p](int g) {
+    std::vector<std::vector<VertexUpdate>> bins(static_cast<std::size_t>(p));
+    for (int dest = 0; dest < p; ++dest) {
+      for (std::uint64_t i = 0; i < 40; ++i) {
+        bins[static_cast<std::size_t>(dest)].push_back(VertexUpdate{
+            static_cast<LocalId>((i * 7 + static_cast<std::uint64_t>(g)) %
+                                 23),
+            100 + i});
+      }
+    }
+    return bins;
+  };
+  const auto run = [&](bool sender_combines) {
+    Transport t(spec);
+    std::vector<ExchangeCounters> counters(static_cast<std::size_t>(p));
+    std::vector<std::thread> threads;
+    for (int g = 0; g < p; ++g) {
+      threads.emplace_back([&, g] {
+        auto bins = raw_bins(g);
+        ExchangeCounters& c = counters[static_cast<std::size_t>(g)];
+        if (sender_combines) {
+          std::vector<std::uint64_t> candidates;
+          for (auto& bin : bins) {
+            candidates.push_back(bin.size());
+            coalesce_bin(bin, options.combine);
+          }
+          bins[static_cast<std::size_t>(g)].clear();  // folded in place
+          charge_sender_combine(options, g, candidates, bins, c);
+        }
+        exchange_updates(t, spec, spec.coord_of(g), bins, 0, options, c);
+      });
+    }
+    for (auto& th : threads) th.join();
+    return counters;
+  };
+  const auto raw = run(false);
+  const auto combined = run(true);
+  for (int g = 0; g < p; ++g) {
+    SCOPED_TRACE(g);
+    const ExchangeCounters& a = raw[static_cast<std::size_t>(g)];
+    const ExchangeCounters& b = combined[static_cast<std::size_t>(g)];
+    EXPECT_EQ(a.bin_vertices, 4u * 40);
+    EXPECT_EQ(a.uniquify_vertices, 3u * 40);
+    EXPECT_GT(a.duplicates_removed, 0u);
+    EXPECT_EQ(b.bin_vertices, a.bin_vertices);
+    EXPECT_EQ(b.uniquify_vertices, a.uniquify_vertices);
+    EXPECT_EQ(b.uniquify_bytes, a.uniquify_bytes);
+    EXPECT_EQ(b.duplicates_removed, a.duplicates_removed);
+    EXPECT_EQ(b.encode_bytes, a.encode_bytes);
+    EXPECT_EQ(b.bins_compressed, a.bins_compressed);
+    EXPECT_EQ(b.bins_raw, a.bins_raw);
+    EXPECT_EQ(b.send_bytes_remote, a.send_bytes_remote);
+    EXPECT_EQ(b.recv_bytes_remote, a.recv_bytes_remote);
+    EXPECT_EQ(b.local_bytes, a.local_bytes);
+  }
+
+  std::vector<std::vector<VertexUpdate>> bins(2);
+  ExchangeCounters c;
+  const std::vector<std::uint64_t> counts = {1, 1};
+  EXPECT_THROW(charge_sender_combine({.combine = UpdateCombine::kNone}, 0,
+                                     counts, bins, c),
+               std::invalid_argument);
+  EXPECT_THROW(charge_sender_combine(options, 0,
+                                     std::vector<std::uint64_t>{1}, bins, c),
+               std::invalid_argument);
+  bins[1].assign(2, VertexUpdate{});
+  EXPECT_THROW(charge_sender_combine(options, 0, counts, bins, c),
+               std::invalid_argument);
 }
 
 // ---- end-to-end: the exchange options preserve algorithm results ---------

@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
 #include <numeric>
+#include <string>
 
 #include "baseline/host_apps.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "graph/rmat.hpp"
+#include "util/hash.hpp"
 
 namespace dsbfs::core {
 namespace {
@@ -155,6 +159,210 @@ TEST(Pagerank, RejectsBadArguments) {
                std::invalid_argument);
   sim::Cluster wrong(spec_of(4, 1));
   EXPECT_THROW(DistributedPagerank(dg, wrong), std::invalid_argument);
+}
+
+// ---- golden pins ----------------------------------------------------------
+// Every row runs 20 fixed power iterations on a fixed graph, cluster shape,
+// exchange topology and wire, and pins the per-run sums of the exchange
+// counters the perf model replays.  The modeled cluster runs a uniquify
+// kernel over every raw nn contribution whatever the host does to produce
+// the coalesced bins, so these sums are independent of how the facade
+// builds them.  The raw and uniquify-off rows, whose wire bytes do not
+// depend on the rank values, also pin the wire volumes and the modeled
+// makespan as an exact double; the uniquify-off rows, whose fold order is
+// the exchange's receive order, pin a digest of the rank bits too.
+
+enum class Wire {
+  kOff,      // uniquify off: every (id, share) candidate on the wire
+  kRaw,      // uniquify on, raw 12-byte records
+  kGorilla,  // uniquify on, compress + adaptive + gorilla
+};
+
+struct PrGoldenRow {
+  const char* name;
+  int scale;  // RMAT scale: 10 or 12
+  int ranks_per_node;
+  sim::ExchangeTopology topology;
+  Wire wire;
+  // Pinned on every row.
+  std::uint64_t bin_vertices;
+  std::uint64_t uniquify_vertices;
+  std::uint64_t uniquify_bytes;
+  std::uint64_t encode_bytes;
+  std::uint64_t nn_edges;
+  // Pinned on the kOff and kRaw rows (0 on kGorilla rows).
+  std::uint64_t update_bytes_remote;
+  std::uint64_t reduce_bytes;
+  double elapsed_ms;
+  // Pinned on the kOff rows (0 elsewhere).
+  std::uint64_t rank_digest;
+};
+
+constexpr auto kFlat = sim::ExchangeTopology::kFlat;
+constexpr auto kHier = sim::ExchangeTopology::kHierarchical;
+constexpr auto kFly = sim::ExchangeTopology::kButterfly;
+
+// clang-format off
+const PrGoldenRow kGoldenRows[] = {
+    {"rmat10 2x1x2 flat off", 10, 1, kFlat, Wire::kOff,
+     54640, 0, 0, 0, 54640, 312960, 80000, 1.5024267648767933, 0xad3a7d16b1ff4fc6ull},
+    {"rmat10 2x1x2 flat raw", 10, 1, kFlat, Wire::kRaw,
+     54640, 40280, 483360, 0, 54640, 165120, 80000, 1.4944435608994469, 0x0000000000000000ull},
+    {"rmat10 2x1x2 flat gorilla", 10, 1, kFlat, Wire::kGorilla,
+     54640, 40280, 483360, 248880, 54640, 0, 0, 0, 0x0000000000000000ull},
+    {"rmat10 2x1x2 hierarchical off", 10, 1, kHier, Wire::kOff,
+     54640, 0, 0, 0, 54640, 315840, 80000, 1.9605241994153964, 0xad3a7d16b1ff4fc6ull},
+    {"rmat10 2x1x2 hierarchical raw", 10, 1, kHier, Wire::kRaw,
+     54640, 40280, 483360, 0, 54640, 168000, 80000, 1.9487537721883761, 0x0000000000000000ull},
+    {"rmat10 2x1x2 hierarchical gorilla", 10, 1, kHier, Wire::kGorilla,
+     54640, 40280, 483360, 248880, 54640, 0, 0, 0, 0x0000000000000000ull},
+    {"rmat10 2x1x2 butterfly off", 10, 1, kFly, Wire::kOff,
+     54640, 0, 0, 0, 54640, 315840, 80000, 1.9605241994153964, 0xad3a7d16b1ff4fc6ull},
+    {"rmat10 2x1x2 butterfly raw", 10, 1, kFly, Wire::kRaw,
+     54640, 40280, 483360, 0, 54640, 168000, 80000, 1.9487537721883761, 0x0000000000000000ull},
+    {"rmat10 2x1x2 butterfly gorilla", 10, 1, kFly, Wire::kGorilla,
+     54640, 40280, 483360, 248880, 54640, 0, 0, 0, 0x0000000000000000ull},
+    {"rmat10 2x2x2 flat off", 10, 2, kFlat, Wire::kOff,
+     54640, 0, 0, 0, 54640, 483360, 160000, 2.3537591841155967, 0xdab3faef71516531ull},
+    {"rmat10 2x2x2 flat raw", 10, 2, kFlat, Wire::kRaw,
+     54640, 46480, 557760, 0, 54640, 328080, 160000, 2.349362596505352, 0x0000000000000000ull},
+    {"rmat10 2x2x2 flat gorilla", 10, 2, kFlat, Wire::kGorilla,
+     54640, 46480, 557760, 378000, 54640, 0, 0, 0, 0x0000000000000000ull},
+    {"rmat10 2x2x2 hierarchical off", 10, 2, kHier, Wire::kOff,
+     54640, 0, 0, 0, 54640, 338880, 160000, 2.2211125680620163, 0xdab3faef71516531ull},
+    {"rmat10 2x2x2 hierarchical raw", 10, 2, kHier, Wire::kRaw,
+     54640, 46480, 557760, 0, 54640, 233040, 160000, 2.2463305345252187, 0x0000000000000000ull},
+    {"rmat10 2x2x2 hierarchical gorilla", 10, 2, kHier, Wire::kGorilla,
+     54640, 46480, 557760, 378000, 54640, 0, 0, 0, 0x0000000000000000ull},
+    {"rmat10 2x2x2 butterfly off", 10, 2, kFly, Wire::kOff,
+     54640, 0, 0, 0, 54640, 338880, 160000, 2.2211125680620163, 0xdab3faef71516531ull},
+    {"rmat10 2x2x2 butterfly raw", 10, 2, kFly, Wire::kRaw,
+     54640, 46480, 557760, 0, 54640, 233040, 160000, 2.2463305345252187, 0x0000000000000000ull},
+    {"rmat10 2x2x2 butterfly gorilla", 10, 2, kFly, Wire::kGorilla,
+     54640, 46480, 557760, 378000, 54640, 0, 0, 0, 0x0000000000000000ull},
+    {"rmat12 2x1x2 flat off", 12, 1, kFlat, Wire::kOff,
+     257360, 0, 0, 0, 257360, 1579680, 188800, 1.8603504225389511, 0xc14e8e2088a819afull},
+    {"rmat12 2x1x2 flat raw", 12, 1, kFlat, Wire::kRaw,
+     257360, 193280, 2319360, 0, 257360, 678000, 188800, 1.8379780041175775, 0x0000000000000000ull},
+    {"rmat12 2x1x2 flat gorilla", 12, 1, kFlat, Wire::kGorilla,
+     257360, 193280, 2319360, 1000320, 257360, 0, 0, 0, 0x0000000000000000ull},
+    {"rmat12 2x1x2 hierarchical off", 12, 1, kHier, Wire::kOff,
+     257360, 0, 0, 0, 257360, 1582560, 188800, 2.3558653291389482, 0xc14e8e2088a819afull},
+    {"rmat12 2x1x2 hierarchical raw", 12, 1, kHier, Wire::kRaw,
+     257360, 193280, 2319360, 0, 257360, 680880, 188800, 2.3109259402798097, 0x0000000000000000ull},
+    {"rmat12 2x1x2 hierarchical gorilla", 12, 1, kHier, Wire::kGorilla,
+     257360, 193280, 2319360, 1000320, 257360, 0, 0, 0, 0x0000000000000000ull},
+    {"rmat12 2x1x2 butterfly off", 12, 1, kFly, Wire::kOff,
+     257360, 0, 0, 0, 257360, 1582560, 188800, 2.3558653291389482, 0xc14e8e2088a819afull},
+    {"rmat12 2x1x2 butterfly raw", 12, 1, kFly, Wire::kRaw,
+     257360, 193280, 2319360, 0, 257360, 680880, 188800, 2.3109259402798097, 0x0000000000000000ull},
+    {"rmat12 2x1x2 butterfly gorilla", 12, 1, kFly, Wire::kGorilla,
+     257360, 193280, 2319360, 1000320, 257360, 0, 0, 0, 0x0000000000000000ull},
+    {"rmat12 2x2x2 flat off", 12, 2, kFlat, Wire::kOff,
+     257360, 0, 0, 0, 257360, 2319360, 377600, 2.560208754007721, 0x78d128f3b0a390f1ull},
+    {"rmat12 2x2x2 flat raw", 12, 2, kFlat, Wire::kRaw,
+     257360, 225080, 2700960, 0, 257360, 1394160, 377600, 2.5332827282594677, 0x0000000000000000ull},
+    {"rmat12 2x2x2 flat gorilla", 12, 2, kFlat, Wire::kGorilla,
+     257360, 225080, 2700960, 1615680, 257360, 0, 0, 0, 0x0000000000000000ull},
+    {"rmat12 2x2x2 hierarchical off", 12, 2, kHier, Wire::kOff,
+     257360, 0, 0, 0, 257360, 1547520, 377600, 2.4906296307043072, 0x78d128f3b0a390f1ull},
+    {"rmat12 2x2x2 hierarchical raw", 12, 2, kHier, Wire::kRaw,
+     257360, 225080, 2700960, 0, 257360, 935280, 377600, 2.4936456007460408, 0x0000000000000000ull},
+    {"rmat12 2x2x2 hierarchical gorilla", 12, 2, kHier, Wire::kGorilla,
+     257360, 225080, 2700960, 1615680, 257360, 0, 0, 0, 0x0000000000000000ull},
+    {"rmat12 2x2x2 butterfly off", 12, 2, kFly, Wire::kOff,
+     257360, 0, 0, 0, 257360, 1547520, 377600, 2.4906296307043072, 0x78d128f3b0a390f1ull},
+    {"rmat12 2x2x2 butterfly raw", 12, 2, kFly, Wire::kRaw,
+     257360, 225080, 2700960, 0, 257360, 935280, 377600, 2.4936456007460408, 0x0000000000000000ull},
+    {"rmat12 2x2x2 butterfly gorilla", 12, 2, kFly, Wire::kGorilla,
+     257360, 225080, 2700960, 1615680, 257360, 0, 0, 0, 0x0000000000000000ull},
+};
+// clang-format on
+
+std::uint64_t rank_digest(const std::vector<double>& ranks) {
+  std::uint64_t h = util::splitmix64(ranks.size());
+  for (const double r : ranks) {
+    h = util::hash_combine(h, std::bit_cast<std::uint64_t>(r));
+  }
+  return h;
+}
+
+/// The pinned fields of a row as a C++ initializer tail; fields a wire does
+/// not pin print as 0, so a failure shows the actual row ready to compare
+/// (and a deliberate re-pin is one paste).  %.17g round-trips a double.
+std::string pinned_values(Wire wire, std::uint64_t bin_vertices,
+                          std::uint64_t uniquify_vertices,
+                          std::uint64_t uniquify_bytes,
+                          std::uint64_t encode_bytes, std::uint64_t nn_edges,
+                          std::uint64_t update_bytes_remote,
+                          std::uint64_t reduce_bytes, double elapsed_ms,
+                          std::uint64_t digest) {
+  if (wire == Wire::kGorilla) {
+    update_bytes_remote = reduce_bytes = 0;
+    elapsed_ms = 0;
+  }
+  if (wire != Wire::kOff) digest = 0;
+  char buf[512];
+  std::snprintf(buf, sizeof buf,
+                "%llu, %llu, %llu, %llu, %llu, %llu, %llu, %.17g, 0x%016llxull",
+                static_cast<unsigned long long>(bin_vertices),
+                static_cast<unsigned long long>(uniquify_vertices),
+                static_cast<unsigned long long>(uniquify_bytes),
+                static_cast<unsigned long long>(encode_bytes),
+                static_cast<unsigned long long>(nn_edges),
+                static_cast<unsigned long long>(update_bytes_remote),
+                static_cast<unsigned long long>(reduce_bytes), elapsed_ms,
+                static_cast<unsigned long long>(digest));
+  return buf;
+}
+
+TEST(Pagerank, GoldenCountersAndModeledTime) {
+  const graph::EdgeList rmat10 =
+      graph::rmat_graph500({.scale = 10, .seed = 171});
+  const graph::EdgeList rmat12 =
+      graph::rmat_graph500({.scale = 12, .seed = 172});
+
+  for (const PrGoldenRow& row : kGoldenRows) {
+    SCOPED_TRACE(row.name);
+    const graph::EdgeList& g = row.scale == 10 ? rmat10 : rmat12;
+    sim::ClusterSpec spec;
+    spec.num_ranks = 2 * row.ranks_per_node;  // two modeled nodes
+    spec.ranks_per_node = row.ranks_per_node;
+    spec.gpus_per_rank = 2;
+    sim::Cluster cluster(spec);
+    const graph::DistributedGraph dg =
+        graph::build_distributed(g, spec, row.scale == 10 ? 64 : 128);
+
+    PagerankOptions options;
+    options.max_iterations = 20;
+    options.tolerance = 0;
+    options.uniquify = row.wire != Wire::kOff;
+    options.compress = options.adaptive_compress = options.gorilla =
+        row.wire == Wire::kGorilla;
+    options.exchange_topology = row.topology;
+    const PagerankResult r = DistributedPagerank(dg, cluster, options).run();
+    ASSERT_EQ(r.iterations, 20);
+
+    std::uint64_t bin_vertices = 0, uniquify_vertices = 0, uniquify_bytes = 0,
+                  encode_bytes = 0, nn_edges = 0;
+    for (const sim::IterationCounters& it : r.counters.iterations) {
+      for (const sim::GpuIterationCounters& c : it.gpu) {
+        bin_vertices += c.bin_vertices;
+        uniquify_vertices += c.uniquify_vertices;
+        uniquify_bytes += c.uniquify_bytes;
+        encode_bytes += c.encode_bytes;
+        nn_edges += c.nn.edges;
+      }
+    }
+    EXPECT_EQ(pinned_values(row.wire, bin_vertices, uniquify_vertices,
+                            uniquify_bytes, encode_bytes, nn_edges,
+                            r.update_bytes_remote, r.reduce_bytes,
+                            r.modeled.elapsed_ms, rank_digest(r.ranks)),
+              pinned_values(row.wire, row.bin_vertices, row.uniquify_vertices,
+                            row.uniquify_bytes, row.encode_bytes, row.nn_edges,
+                            row.update_bytes_remote, row.reduce_bytes,
+                            row.elapsed_ms, row.rank_digest));
+  }
 }
 
 }  // namespace

@@ -175,6 +175,29 @@ TEST_F(RecoveryTest, PagerankSurvivesGpuFailureBitExact) {
   expect_recovered(hurt.fault);
 }
 
+TEST_F(RecoveryTest, PagerankGorillaHierarchicalSurvivesGpuFailureBitExact) {
+  // The coalesced-bin wire under a device loss: sender-side slot sums, the
+  // adaptive Gorilla payloads and the hierarchical per-source segments are
+  // all rebuilt by the replay, and the ranks still match a clean run of the
+  // same wire bit for bit.
+  core::PagerankOptions options;
+  options.compress = true;
+  options.adaptive_compress = true;
+  options.gorilla = true;
+  options.exchange_topology = sim::ExchangeTopology::kHierarchical;
+  sim::Cluster cluster(spec_);
+  const core::PagerankResult clean =
+      core::DistributedPagerank(dg_, cluster, options).run();
+
+  options.resilience = kill_gpu1_at2();
+  const core::PagerankResult hurt =
+      core::DistributedPagerank(dg_, cluster, options).run();
+
+  EXPECT_EQ(hurt.ranks, clean.ranks);
+  EXPECT_EQ(hurt.iterations, clean.iterations);
+  expect_recovered(hurt.fault);
+}
+
 TEST_F(RecoveryTest, QuerySchedulerSurvivesGpuFailureBitExact) {
   // The serving tier under a mid-run device loss: the rollback must replay
   // the in-flight lanes (and their retire/admit boundaries) without
